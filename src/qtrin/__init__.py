@@ -14,8 +14,8 @@ from .trinomials import (TrinomialParams, TParams, RefinedTParams,
                          round_trinomial, t_trinomial, refined_trinomial)
 from .identities import (IdentityInstance, VerificationReport, REGISTRY,
                          identity_ids, compute_side, verify_identity,
-                         bailey_sides, apply_bailey_transform,
-                         verify_lemma31, verify_limit_stabilization)
+                         bailey_sides, verify_lemma31,
+                         verify_limit_stabilization)
 from .partitions import (CapparelliVariant, Partition, FIRST, SECOND,
                          VARIANTS, congruence_side_count,
                          difference_side_count, difference_side_partitions,

@@ -12,9 +12,10 @@ import time
 from dataclasses import dataclass, field
 
 from .identities import (IdentityInstance, bailey_sides, compute_side,
-                         mono, verify_identity, verify_lemma31,
+                         verify_identity, verify_lemma31,
                          verify_limit_stabilization)
 from .partitions import VARIANTS, capparelli_chain
+from .series import LaurentSeries
 from .trinomials import TrinomialParams, round_trinomial
 
 SUITE_BUDGET_SECONDS = 120
@@ -98,7 +99,8 @@ BAILEY_CASES = [
 def bailey_alpha(efn, M: int) -> dict:
     """Finitely supported alpha wide enough that truncation is invisible
     at size M."""
-    return {j: mono(efn(j)) for j in range(-M - 2, M + 3)}
+    return {j: LaurentSeries.monomial(1, efn(j))
+            for j in range(-M - 2, M + 3)}
 
 
 def crit_bailey() -> dict | None:

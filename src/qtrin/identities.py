@@ -35,9 +35,6 @@ class IdentityInstance:
     params: dict
     cutoff: Optional[int] = None   # half-exponent units; None = exact mode
 
-    def key(self):
-        return (self.id, tuple(sorted(self.params.items())), self.cutoff)
-
 
 @dataclass
 class VerificationReport:
@@ -48,23 +45,28 @@ class VerificationReport:
     detail: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class CapparelliQuadratic:
-    """The quadratic form in the double-sum exponents."""
-    m: int
-    n: int
-
-    @property
-    def value(self) -> int:
-        return 2 * self.m * self.m + 6 * self.m * self.n + 6 * self.n * self.n
-
-
 def quad(m: int, n: int) -> int:
     return 2 * m * m + 6 * m * n + 6 * n * n
 
 
-def mono(exp: int, coeff: int = 1) -> LaurentSeries:
-    return LaurentSeries.monomial(coeff, exp)
+# Half-unit exponents of the Capparelli double-sum summands.  The
+# bounded families (thm71, thm72, fincap2m, fincap1n, fincap2n) carry
+# the same exponents as the series they approach.
+
+def _kr1_exp(m: int, n: int) -> int:
+    return 2 * quad(m, n)
+
+
+def _cap2_exp_a(m: int, n: int) -> int:
+    return 2 * (quad(m, n) + m + 3 * n)
+
+
+def _cap2_exp_b(m: int, n: int) -> int:
+    return 2 * (quad(m, n) + 3 * m + 6 * n + 1)
+
+
+def _outlook2_exp(m: int, n: int) -> int:
+    return 2 * (quad(m, n) - 2 * m - 3 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,48 +248,15 @@ def _third_pair_dual_rhs(p, c):
     return out
 
 
-def _t0_sum_lhs(p, c):
-    L, a = p["L"], p["a"]
-    out = LaurentSeries.zero()
-    for i in range(L + 1):
-        out = out + (gaussian_binomial(L, i) *
-                     t_trinomial(TParams(0, i, a))).shift(i * i)
-    return out
+def _t_sum_sides(kind: int):
+    """Side builders of the T_kind summation in (L, a): the Bailey-type
+    transform at alpha = {a: 1} in base q."""
+    def lhs(p, c):
+        return _bailey_lhs(kind, {p["a"]: LaurentSeries.one()}, p["L"], 2)
 
-
-def _t0_sum_rhs(p, c):
-    L, a = p["L"], p["a"]
-    return gaussian_binomial(2 * L, L - a).shift(a * a)
-
-
-def _t1_sum_lhs(p, c):
-    L, a = p["L"], p["a"]
-    acc = LaurentSeries.zero()
-    for i in range(L + 1):
-        acc = acc + (gaussian_binomial(L, i) *
-                     t_trinomial(TParams(1, i, a))).shift(2 * _binom2(i))
-    return acc * (LaurentSeries({0: 1}) + LaurentSeries({2 * L: 1}))
-
-
-def _t1_sum_rhs(p, c):
-    L, a = p["L"], p["a"]
-    # (1 + q^a) q^{binom(a,2)} = q^{a(a-1)/2} + q^{a(a+1)/2}
-    pre = LaurentSeries({a * (a - 1): 1}) + LaurentSeries({a * (a + 1): 1})
-    return gaussian_binomial(2 * L, L - a) * pre
-
-
-def _tm1_sum_lhs(p, c):
-    L, a = p["L"], p["a"]
-    out = LaurentSeries.zero()
-    for i in range(L + 1):
-        combo = t_trinomial(TParams(-1, i, a)) + t_trinomial(TParams(-1, i, a + 1))
-        out = out + (gaussian_binomial(L, i) * combo).shift(i * (i + 1))
-    return out
-
-
-def _tm1_sum_rhs(p, c):
-    L, a = p["L"], p["a"]
-    return gaussian_binomial(2 * L + 1, L - a).shift(a * (a + 1))
+    def rhs(p, c):
+        return _bailey_rhs(kind, {p["a"]: LaurentSeries.one()}, p["L"], 2)
+    return lhs, rhs
 
 
 def _bmo_lhs(p, c):
@@ -317,7 +286,7 @@ def _thm71_lhs(p, c):
     out = LaurentSeries.zero()
     for n in range(M // 2 + 1):
         for m in range(M - 2 * n + 1):
-            out = out + _ratio4(M, m, n).shift(2 * quad(m, n))
+            out = out + _ratio4(M, m, n).shift(_kr1_exp(m, n))
     return out
 
 
@@ -334,7 +303,7 @@ def _thm72_lhs(p, c):
     acc = LaurentSeries.zero()
     for n in range(M // 2 + 1):
         for m in range(M - 2 * n + 1):
-            acc = acc + _ratio4(M, m, n).shift(2 * (quad(m, n) - 2 * m - 3 * n))
+            acc = acc + _ratio4(M, m, n).shift(_outlook2_exp(m, n))
     return acc * (LaurentSeries({0: 1}) + LaurentSeries({6 * M: 1}))
 
 
@@ -354,8 +323,8 @@ def _fincap2m_lhs(p, c):
     for n in range(M // 2 + 1):
         for m in range(M - 2 * n + 1):
             r = _ratio4(M, m, n)
-            out = out + r.shift(2 * (quad(m, n) + m + 3 * n))
-            out = out + r.shift(2 * (quad(m, n) + 3 * m + 6 * n + 1))
+            out = out + r.shift(_cap2_exp_a(m, n))
+            out = out + r.shift(_cap2_exp_b(m, n))
     return out
 
 
@@ -376,7 +345,7 @@ def _fincap1n_lhs(p, c):
             d = N - 2 * n - m
             term = gaussian_binomial(3 * d, m) * \
                 gaussian_binomial(2 * d + n, n, 6)
-            out = out + term.shift(2 * quad(m, n))
+            out = out + term.shift(_kr1_exp(m, n))
     return out
 
 
@@ -399,10 +368,10 @@ def _fincap2n_lhs(p, c):
             d = N - 2 * n - m
             t1 = gaussian_binomial(3 * d + 2, m) * \
                 gaussian_binomial(2 * d + n + 1, n, 6)
-            out = out + t1.shift(2 * (quad(m, n) + m + 3 * n))
+            out = out + t1.shift(_cap2_exp_a(m, n))
             t2 = gaussian_binomial(3 * d, m) * \
                 gaussian_binomial(2 * d + n, n, 6)
-            out = out + t2.shift(2 * (quad(m, n) + 3 * m + 6 * n + 1))
+            out = out + t2.shift(_cap2_exp_b(m, n))
     return out
 
 
@@ -420,7 +389,7 @@ def _fincap2n_rhs(p, c):
 
 
 def _kr1_lhs(p, c):
-    return _double_sum(lambda m, n: 2 * quad(m, n), c)
+    return _double_sum(_kr1_exp, c)
 
 
 def _kr1_rhs(p, c):
@@ -428,8 +397,7 @@ def _kr1_rhs(p, c):
 
 
 def _cap2_lhs(p, c):
-    return _double_sum(lambda m, n: 2 * (quad(m, n) + m + 3 * n), c) + \
-        _double_sum(lambda m, n: 2 * (quad(m, n) + 3 * m + 6 * n + 1), c)
+    return _double_sum(_cap2_exp_a, c) + _double_sum(_cap2_exp_b, c)
 
 
 def _cap2_rhs(p, c):
@@ -437,7 +405,7 @@ def _cap2_rhs(p, c):
 
 
 def _outlook2_lhs(p, c):
-    return _double_sum(lambda m, n: 2 * (quad(m, n) - 2 * m - 3 * n), c)
+    return _double_sum(_outlook2_exp, c)
 
 
 def _outlook2_rhs(p, c):
@@ -697,11 +665,11 @@ _DEFS = [
                 _second_pair_dual_rhs, _nonneg("L")),
     IdentityDef("third_pair_dual", ("L",), "exact", _third_pair_dual_lhs,
                 _third_pair_dual_rhs, _nonneg("L")),
-    IdentityDef("t0_sum", ("L", "a"), "exact", _t0_sum_lhs, _t0_sum_rhs,
+    IdentityDef("t0_sum", ("L", "a"), "exact", *_t_sum_sides(0),
                 _nonneg("L")),
-    IdentityDef("t1_sum", ("L", "a"), "exact", _t1_sum_lhs, _t1_sum_rhs,
+    IdentityDef("t1_sum", ("L", "a"), "exact", *_t_sum_sides(1),
                 _nonneg("L")),
-    IdentityDef("tm1_sum", ("L", "a"), "exact", _tm1_sum_lhs, _tm1_sum_rhs,
+    IdentityDef("tm1_sum", ("L", "a"), "exact", *_t_sum_sides(-1),
                 _nonneg("L")),
     IdentityDef("bmo_transform", ("L", "a"), "exact", _bmo_lhs, _bmo_rhs,
                 _nonneg("L")),
@@ -765,8 +733,10 @@ def _resolve(instance: IdentityInstance) -> IdentityDef:
 
 
 def compute_side(instance: IdentityInstance, side: str) -> Side:
+    if side not in ("LHS", "RHS"):
+        raise ValueError(f"side must be 'LHS' or 'RHS', not {side!r}")
     d = _resolve(instance)
-    fn = d.lhs if side.upper() == "LHS" else d.rhs
+    fn = d.lhs if side == "LHS" else d.rhs
     return fn(instance.params, instance.cutoff)
 
 
@@ -783,28 +753,16 @@ def verify_identity(instance: IdentityInstance) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Bailey-type transform
 
-def bailey_sides(kind: int, alpha: dict[int, LaurentSeries], L: int,
-                 step: int = 2):
-    """Both sides of the transformed identity for a finitely supported alpha.
+def _bailey_halves(u: int, step: int) -> int:
+    """Exponent u/2 in Q-units as half-units (1 Q-unit = step halves)."""
+    v = u * step
+    if v % 2 != 0:
+        raise ValueError("non-half-integral exponent")
+    return v // 2
 
-    kind 0: F(i) = sum_a alpha(a) T_0(i, a)
-            LHS sum_i Q^{i^2/2} [L, i] F(i); RHS sum_a alpha(a) Q^{a^2/2}
-            [2L, L-a].
-    kind 1 and -1 analogously, with the (1 + Q^L) factor resp. the
-    T_{-1} pair combination.  Q = q^(step/2) is the working base.
-    """
-    if kind not in (-1, 0, 1):
-        raise ValueError("kind must be -1, 0 or 1")
-    if L < 0:
-        raise ValueError("L must be non-negative")
 
-    def halves(u_num: int, u_den: int = 1) -> int:
-        # exponent u_num/u_den in Q-units -> half-units (1 Q-unit = step halves)
-        v = u_num * step
-        if v % u_den != 0:
-            raise ValueError("non-half-integral exponent")
-        return v // u_den
-
+def _bailey_lhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
+                step: int) -> LaurentSeries:
     def F(i: int) -> LaurentSeries:
         acc = LaurentSeries.zero()
         for a, coeff in alpha.items():
@@ -820,39 +778,51 @@ def bailey_sides(kind: int, alpha: dict[int, LaurentSeries], L: int,
     for i in range(L + 1):
         base = gaussian_binomial(L, i, step) * F(i)
         if kind == 0:
-            lhs = lhs + base.shift(halves(i * i, 2))
+            lhs = lhs + base.shift(_bailey_halves(i * i, step))
         elif kind == 1:
-            lhs = lhs + base.shift(halves(i * (i - 1), 2))
+            lhs = lhs + base.shift(_bailey_halves(i * (i - 1), step))
         else:
-            lhs = lhs + base.shift(halves(i * (i + 1), 2))
+            lhs = lhs + base.shift(_bailey_halves(i * (i + 1), step))
     if kind == 1:
         lhs = lhs * (LaurentSeries({0: 1}) + LaurentSeries({L * step: 1}))
+    return lhs
 
+
+def _bailey_rhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
+                step: int) -> LaurentSeries:
     rhs = LaurentSeries.zero()
     for a, coeff in alpha.items():
         if kind == 0:
-            term = gaussian_binomial(2 * L, L - a, step).shift(halves(a * a, 2))
+            term = gaussian_binomial(2 * L, L - a, step).shift(
+                _bailey_halves(a * a, step))
         elif kind == 1:
-            pre = LaurentSeries({halves(a * (a - 1), 2): 1}) + \
-                LaurentSeries({halves(a * (a + 1), 2): 1})
+            pre = LaurentSeries({_bailey_halves(a * (a - 1), step): 1}) + \
+                LaurentSeries({_bailey_halves(a * (a + 1), step): 1})
             term = gaussian_binomial(2 * L, L - a, step) * pre
         else:
             # exponent on the alpha side carries the support variable a,
             # not the bound summation index
             term = gaussian_binomial(2 * L + 1, L - a, step).shift(
-                halves(a * (a + 1), 2))
+                _bailey_halves(a * (a + 1), step))
         rhs = rhs + coeff * term
-    return lhs, rhs
+    return rhs
 
 
-def apply_bailey_transform(kind: int, alpha: dict[int, LaurentSeries],
-                           L: int, step: int = 2) -> VerificationReport:
-    start = time.monotonic()
-    lhs, rhs = bailey_sides(kind, alpha, L, step)
-    mism = lhs.first_mismatch(rhs)
-    inst = IdentityInstance(f"bailey_kind{kind}", {"L": L, "step": step})
-    elapsed = int((time.monotonic() - start) * 1000)
-    return VerificationReport(inst, mism is None, mism, elapsed)
+def bailey_sides(kind: int, alpha: dict[int, LaurentSeries], L: int,
+                 step: int = 2):
+    """Both sides of the transformed identity for a finitely supported alpha.
+
+    kind 0: F(i) = sum_a alpha(a) T_0(i, a)
+            LHS sum_i Q^{i^2/2} [L, i] F(i); RHS sum_a alpha(a) Q^{a^2/2}
+            [2L, L-a].
+    kind 1 and -1 analogously, with the (1 + Q^L) factor resp. the
+    T_{-1} pair combination.  Q = q^(step/2) is the working base.
+    """
+    if kind not in (-1, 0, 1):
+        raise ValueError("kind must be -1, 0 or 1")
+    if L < 0:
+        raise ValueError("L must be non-negative")
+    return _bailey_lhs(kind, alpha, L, step), _bailey_rhs(kind, alpha, L, step)
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +850,7 @@ def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:
             key = (L, j)
             cur = lhs_entries.get(key)
             lhs_entries[key] = s if cur is None else cur + s
-    lhs = TrivariateSeries(lhs_entries, t_cutoff=t_cutoff, q_cutoff=cw)
+    lhs = TrivariateSeries(lhs_entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
 
     def tri(entries):
         return TrivariateSeries(entries, t_cutoff=t_cutoff, q_cutoff=cw)
@@ -904,31 +874,13 @@ def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:
 
     rhs = numerator * euler_inverse(0, 0) * \
         euler_inverse(-1, -2 * n) * euler_inverse(1, 0)
+    rhs = TrivariateSeries(rhs.entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
 
-    mism = _trivariate_mismatch(lhs, rhs, q_cutoff)
+    mism = lhs.first_mismatch(rhs)
     inst = IdentityInstance("lemma_genfun", {"n": n, "t_cutoff": t_cutoff},
                             q_cutoff)
     elapsed = int((time.monotonic() - start) * 1000)
     return VerificationReport(inst, mism is None, mism, elapsed)
-
-
-def _trivariate_mismatch(a: TrivariateSeries, b: TrivariateSeries,
-                         q_cutoff: int):
-    """First mismatch through q_cutoff; raises if either side is not
-    actually known that far (insufficient working cutoff)."""
-    tcut = min(a.t_cutoff, b.t_cutoff)
-    keys = sorted(k for k in set(a.entries) | set(b.entries) if k[0] <= tcut)
-    for key in keys:
-        sa, sb = a.entry(*key), b.entry(*key)
-        for s in (sa, sb):
-            if s.cutoff is not None and s.cutoff < q_cutoff:
-                raise ValueError(
-                    f"entry {key} only known to {s.cutoff} < {q_cutoff}; "
-                    "increase the working cutoff")
-        m = sa.truncate(q_cutoff).first_mismatch(sb.truncate(q_cutoff))
-        if m is not None:
-            return (key[0], key[1], m[0], m[1], m[2])
-    return None
 
 
 # ---------------------------------------------------------------------------

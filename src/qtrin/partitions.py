@@ -8,7 +8,9 @@ small part.
 
 These counts are the independent cross-check for the double-sum and
 infinite-product series: everything here is exhaustive enumeration over
-actual partitions, not series manipulation.
+actual partitions, not series manipulation.  The series columns of the
+comparison table are read from the identity registry, which holds the
+one definition of each product and double sum.
 """
 
 from __future__ import annotations
@@ -16,21 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import LaurentSeries
-from .qblocks import MonomialArg, inv_poch_series, poch_infinite
+from .identities import IdentityInstance, compute_side
 
 
 @dataclass(frozen=True)
 class CapparelliVariant:
     """Parameters of one theorem: forbidden residues mod 6 on the
-    distinct-part side, and the excluded smallest part on the gap side."""
+    distinct-part side, the excluded smallest part on the gap side, and
+    the registry id whose sides are its double sum (LHS) and infinite
+    product (RHS)."""
     name: str
     forbidden_residues: frozenset
     excluded_part: int
+    series_id: str
 
 
-FIRST = CapparelliVariant("first", frozenset({1, 5}), 1)
-SECOND = CapparelliVariant("second", frozenset({2, 4}), 2)
+FIRST = CapparelliVariant("first", frozenset({1, 5}), 1, "kr1")
+SECOND = CapparelliVariant("second", frozenset({2, 4}), 2, "cap2")
 
 VARIANTS = {"first": FIRST, "second": SECOND}
 
@@ -121,50 +125,22 @@ def difference_side_partitions(n: int, v: CapparelliVariant) -> list[Partition]:
     return out
 
 
+def _side_coefficients(id: str, side: str, n_max: int) -> list[int]:
+    """Coefficients of q^0..q^n_max of one side of a registry series."""
+    series = compute_side(IdentityInstance(id, {}, 2 * n_max), side)
+    return [series.coeff_at(2 * k) for k in range(n_max + 1)]
+
+
 def product_coefficients(v: CapparelliVariant, n_max: int) -> list[int]:
     """Coefficients of q^0..q^n_max of the variant's infinite product."""
-    cutoff = 2 * n_max
-    if v.name == "first":
-        prod = poch_infinite(MonomialArg(-1, 4), 12, cutoff) * \
-            poch_infinite(MonomialArg(-1, 8), 12, cutoff)
-    else:
-        prod = poch_infinite(MonomialArg(-1, 2), 12, cutoff) * \
-            poch_infinite(MonomialArg(-1, 10), 12, cutoff)
-    prod = prod * poch_infinite(MonomialArg(-1, 6), 6, cutoff)
-    return [prod.terms.get(2 * k, 0) for k in range(n_max + 1)]
-
-
-_DOUBLESUM_SHIFTS = {
-    "kr1": [lambda m, n: 2 * _q(m, n)],
-    "cap2": [lambda m, n: 2 * (_q(m, n) + m + 3 * n),
-             lambda m, n: 2 * (_q(m, n) + 3 * m + 6 * n + 1)],
-    "outlook2": [lambda m, n: 2 * (_q(m, n) - 2 * m - 3 * n)],
-}
-
-
-def _q(m: int, n: int) -> int:
-    return 2 * m * m + 6 * m * n + 6 * n * n
+    return _side_coefficients(v.series_id, "RHS", n_max)
 
 
 def doublesum_coefficients(which: str, n_max: int) -> list[int]:
-    """Coefficients of q^0..q^n_max of the named double series
-    sum q^(exponent) / ((q;q)_m (q^3;q^3)_n)."""
-    if which not in _DOUBLESUM_SHIFTS:
-        raise KeyError(f"unknown double sum {which!r}")
-    cutoff = 2 * n_max
-    acc = LaurentSeries.zero(cutoff)
-    for shift_fn in _DOUBLESUM_SHIFTS[which]:
-        m = 0
-        while shift_fn(m, 0) <= cutoff or m == 0:
-            n = 0
-            while shift_fn(m, n) <= cutoff:
-                e = shift_fn(m, n)
-                term = inv_poch_series(m, 2, cutoff - e) * \
-                    inv_poch_series(n, 6, cutoff - e)
-                acc = acc + term.shift(e)
-                n += 1
-            m += 1
-    return [acc.terms.get(2 * k, 0) for k in range(n_max + 1)]
+    """Coefficients of q^0..q^n_max of the double series that is the LHS
+    of registry id ``which`` (kr1, cap2 or outlook2); KeyError for an
+    unknown id."""
+    return _side_coefficients(which, "LHS", n_max)
 
 
 def capparelli_chain(n_max: int, v: CapparelliVariant) -> list[dict]:
@@ -175,8 +151,7 @@ def capparelli_chain(n_max: int, v: CapparelliVariant) -> list[dict]:
     second).
     """
     prod = product_coefficients(v, n_max)
-    dsum = doublesum_coefficients("kr1" if v.name == "first" else "cap2",
-                                  n_max)
+    dsum = doublesum_coefficients(v.series_id, n_max)
     rows = []
     for n in range(n_max + 1):
         rows.append({

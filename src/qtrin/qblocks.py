@@ -32,6 +32,14 @@ Q = MonomialArg(1, 2)          # the variable q itself
 ZERO_ARG = MonomialArg(0, 0)
 
 
+def _one_minus(sign: int, exp: int) -> LaurentSeries:
+    """The Pochhammer factor 1 - sign * q^(exp/2); at exp = 0 the two
+    terms add."""
+    terms = {0: 1}
+    terms[exp] = terms.get(exp, 0) - sign
+    return LaurentSeries(terms)
+
+
 def poch_finite(arg: MonomialArg, step: int, n: int) -> LaurentSeries:
     """(a; q_step)_n = prod_{k=0}^{n-1} (1 - a q_step^k), exact.
 
@@ -45,8 +53,7 @@ def poch_finite(arg: MonomialArg, step: int, n: int) -> LaurentSeries:
     if arg.sign == 0:
         return out
     for k in range(n):
-        factor = LaurentSeries({0: 1, arg.exp + k * step: -arg.sign})
-        out = out * factor
+        out = out * _one_minus(arg.sign, arg.exp + k * step)
     return out
 
 
@@ -68,8 +75,7 @@ def poch_infinite(arg: MonomialArg, step: int, cutoff: int) -> LaurentSeries:
         return out
     k = 0
     while arg.exp + k * step <= cutoff:
-        factor = LaurentSeries({0: 1, arg.exp + k * step: -arg.sign})
-        out = out * factor
+        out = out * _one_minus(arg.sign, arg.exp + k * step)
         k += 1
     return out
 

@@ -319,15 +319,24 @@ class TrivariateSeries:
                                 LaurentSeries.zero(self.q_cutoff))
 
     def first_mismatch(self, other: "TrivariateSeries"):
-        """First differing (t, x, q-exponent) triple in lexicographic order."""
+        """First differing (t, x, q-exponent) triple in lexicographic order,
+        compared through the tighter of the two q cutoffs.
+
+        Raises if an entry is known only below that cutoff, i.e. the
+        working cutoff it was built with was too small.
+        """
         qcut = min(self.q_cutoff, other.q_cutoff)
         tcut = min(self.t_cutoff, other.t_cutoff)
         keys = sorted(k for k in set(self.entries) | set(other.entries)
                       if k[0] <= tcut)
         for key in keys:
-            a = self.entry(*key).truncate(qcut)
-            b = other.entry(*key).truncate(qcut)
-            m = a.first_mismatch(b)
+            a, b = self.entry(*key), other.entry(*key)
+            for s in (a, b):
+                if s.cutoff < qcut:
+                    raise ValueError(
+                        f"entry {key} only known to {s.cutoff} < {qcut}; "
+                        "increase the working cutoff")
+            m = a.truncate(qcut).first_mismatch(b.truncate(qcut))
             if m is not None:
                 return (key[0], key[1], m[0], m[1], m[2])
         return None

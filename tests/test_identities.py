@@ -6,12 +6,11 @@ runs the full desk-scale sweeps.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
-                              bailey_sides, compute_side, mono,
-                              verify_identity, verify_lemma31,
-                              verify_limit_stabilization)
+                              bailey_sides, compute_side, verify_identity,
+                              verify_lemma31, verify_limit_stabilization)
 from qtrin.series import LaurentSeries
 
 
@@ -60,6 +59,12 @@ class TestComputeSide:
         # partitions of 6 into the allowed parts: {6}, {4,2}
         assert rhs.coeff_at(q(6)) == 2
 
+    def test_unknown_side_rejected(self):
+        inst = IdentityInstance("third_pair", {"L": 1})
+        for side in ("lhs", "MIDDLE", ""):
+            with pytest.raises(ValueError):
+                compute_side(inst, side)
+
     def test_exact_sides_have_no_cutoff(self):
         side = compute_side(IdentityInstance("t0_sum", {"L": 3, "a": 1}),
                             "RHS")
@@ -91,6 +96,18 @@ class TestVerifyIdentity:
         for id in ("t0_sum", "t1_sum", "tm1_sum", "bmo_transform"):
             rep = verify_identity(IdentityInstance(id, {"L": L, "a": a}))
             assert rep.match, (id, L, a, rep.first_mismatch)
+
+    @given(st.sampled_from([-1, 0, 1]), st.integers(0, 4),
+           st.sampled_from([-1, 1]), st.integers(1, 4))
+    @example(1, 0, 1, 2)
+    @example(-1, 0, -1, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_q_binomial_theorem_schema(self, a_sign, a_exp, z_sign, z_exp):
+        params = {"a_sign": a_sign, "a_exp": a_exp,
+                  "z_sign": z_sign, "z_exp": z_exp}
+        rep = verify_identity(
+            IdentityInstance("q_binomial_theorem", params, q(20)))
+        assert rep.match, (params, rep.first_mismatch)
 
     def test_report_fields(self):
         rep = verify_identity(IdentityInstance("thm71", {"M": 2}))
@@ -145,7 +162,8 @@ class TestBailey:
     ])
     def test_reproduces_bounded_identities(self, kind, efn, tid):
         for M in range(4):
-            alpha = {j: mono(efn(j)) for j in range(-M - 2, M + 3)}
+            alpha = {j: LaurentSeries.monomial(1, efn(j))
+                     for j in range(-M - 2, M + 3)}
             lhs, rhs = bailey_sides(kind, alpha, M, step=6)
             inst = IdentityInstance(tid, {"M": M})
             assert lhs.first_mismatch(rhs) is None

@@ -32,6 +32,22 @@ class TestPochFinite:
     def test_zero_arg(self):
         assert poch_finite(ZERO_ARG, 2, 7) == LaurentSeries.one()
 
+    def test_argument_one_vanishes(self):
+        # (1;q)_n has the factor 1 - 1 = 0 for every n >= 1
+        for n in range(1, 5):
+            assert poch_finite(MonomialArg(1, 0), 2, n).is_zero()
+
+    def test_argument_minus_one(self):
+        # (-1;q)_2 = (1 + 1)(1 + q)
+        assert poch_finite(MonomialArg(-1, 0), 2, 2) == \
+            LaurentSeries({0: 2, q(1): 2})
+
+    def test_negative_argument_exponent(self):
+        # (q^-1;q)_2 = (1 - q^-1)(1 - 1) = 0; (q^-1;q)_1 = 1 - q^-1
+        assert poch_finite(MonomialArg(1, -2), 2, 2).is_zero()
+        assert poch_finite(MonomialArg(1, -2), 2, 1) == \
+            LaurentSeries({-2: -1, 0: 1})
+
 
 class TestPochInfinite:
     def test_pentagonal_pattern(self):

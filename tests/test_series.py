@@ -179,3 +179,13 @@ class TestTrivariate:
         b = TrivariateSeries.term(1, 0, S({2: 6}), t_cutoff=3, q_cutoff=10)
         assert a.first_mismatch(b) == (1, 0, 2, 5, 6)
         assert a.first_mismatch(a) is None
+
+    def test_first_mismatch_rejects_short_entry(self):
+        # an entry known only to q^(4/2) cannot be compared through 10
+        short = TrivariateSeries.term(1, 0, S({2: 5}, 4),
+                                      t_cutoff=3, q_cutoff=10)
+        full = TrivariateSeries.term(1, 0, S({2: 5}), t_cutoff=3, q_cutoff=10)
+        with pytest.raises(ValueError):
+            short.first_mismatch(full)
+        with pytest.raises(ValueError):
+            full.first_mismatch(short)
