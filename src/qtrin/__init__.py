@@ -15,7 +15,8 @@ from .trinomials import (TrinomialParams, TParams, RefinedTParams,
 from .identities import (IdentityInstance, VerificationReport, REGISTRY,
                          identity_ids, compute_side, verify_identity,
                          bailey_sides, verify_lemma31,
-                         verify_limit_stabilization)
+                         verify_limit_stabilization, cache_sizes,
+                         clear_caches)
 from .partitions import (CapparelliVariant, Partition, FIRST, SECOND,
                          VARIANTS, congruence_side_count,
                          difference_side_count, difference_side_partitions,

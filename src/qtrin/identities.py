@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
+from . import qblocks, trinomials
 from .series import LaurentSeries, TrivariateSeries, exact_divide
 from .qblocks import (MonomialArg, gaussian_binomial, inv_poch_infinite,
                       inv_poch_series, poch_finite, poch_infinite, q_poch)
@@ -89,8 +90,31 @@ def _ratio4(M: int, m: int, n: int) -> LaurentSeries:
     return exact_divide(q_poch(M, 6), den)
 
 
-def _rt3(L: int, b: int, a: int) -> LaurentSeries:
-    return round_trinomial(TrinomialParams(L, b, a, step=6))
+# The lru_caches of the exact path, held as the cached callables
+# themselves so that rebinding a module attribute cannot hide them.
+_CACHES = {"q_poch": qblocks.q_poch,
+           "_gaussian_base": qblocks._gaussian_base,
+           "_round_trinomial": trinomials._round_trinomial,
+           "_ratio3": _ratio3, "_ratio4": _ratio4}
+
+
+def cache_sizes() -> dict[str, int]:
+    """Number of entries each exact-path cache holds."""
+    return {name: fn.cache_info().currsize for name, fn in _CACHES.items()}
+
+
+def clear_caches() -> None:
+    """Empty every exact-path cache; they are unbounded otherwise."""
+    for fn in _CACHES.values():
+        fn.cache_clear()
+
+
+def _rt3(L: int, b: int, a: int, shift: int = 0,
+         c: Optional[int] = None) -> LaurentSeries:
+    """q^(shift/2) (L, b; a; q^3)_2, exact or truncated at c."""
+    below = None if c is None else c - shift
+    return round_trinomial(TrinomialParams(L, b, a, step=6),
+                           below).shift(shift)
 
 
 def _t3(n: int, L: int, a: int) -> LaurentSeries:
@@ -154,12 +178,12 @@ def _first_pair_lhs(p, c):
 
 def _first_pair_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
+    out = LaurentSeries.zero(c)
     # support detection: the second family is nonzero out to j = L + 1,
     # one past the symmetric range
     for j in range(-L - 1, L + 2):
-        out = out + _rt3(L, j + 1, j).shift(2 * (L + j + 1))
-        out = out + _rt3(L, j, j - 1).shift(2 * (L - j + 1))
+        out = out + _rt3(L, j + 1, j, 2 * (L + j + 1), c)
+        out = out + _rt3(L, j, j - 1, 2 * (L - j + 1), c)
     return out
 
 
@@ -173,9 +197,9 @@ def _second_pair_lhs(p, c):
 
 def _second_pair_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
+    out = LaurentSeries.zero(c)
     for j in range(-L, L + 1):
-        out = out + _rt3(L, j - 1, j).shift(2 * (2 * L - j))
+        out = out + _rt3(L, j - 1, j, 2 * (2 * L - j), c)
     return out
 
 
@@ -189,9 +213,9 @@ def _third_pair_lhs(p, c):
 
 def _third_pair_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
+    out = LaurentSeries.zero(c)
     for j in range(-L, L + 1):
-        out = out + _rt3(L, j, j).shift(2 * (L - j))
+        out = out + _rt3(L, j, j, 2 * (L - j), c)
     return out
 
 
@@ -741,10 +765,20 @@ def compute_side(instance: IdentityInstance, side: str) -> Side:
 
 
 def verify_identity(instance: IdentityInstance) -> VerificationReport:
+    """Compare both sides through ``instance.cutoff`` (everywhere in exact
+    mode); raises ValueError if a side is known only below it."""
     start = time.monotonic()
     d = _resolve(instance)
     lhs = d.lhs(instance.params, instance.cutoff)
     rhs = d.rhs(instance.params, instance.cutoff)
+    for name, side in (("LHS", lhs), ("RHS", rhs)):
+        cut = side.q_cutoff if isinstance(side, TrivariateSeries) \
+            else side.cutoff
+        if cut is not None and (instance.cutoff is None
+                                or cut < instance.cutoff):
+            want = "exact" if instance.cutoff is None else instance.cutoff
+            raise ValueError(f"{instance.id}: {name} is known only to "
+                             f"{cut}, short of the requested {want}")
     mism = lhs.first_mismatch(rhs)
     elapsed = int((time.monotonic() - start) * 1000)
     return VerificationReport(instance, mism is None, mism, elapsed)
@@ -900,6 +934,8 @@ def verify_limit_stabilization(id: str, window: int,
     """Find the first index from which the family agrees with its limit
     below the degree window (half-units).  Errors if the window needs more
     than ``search_bound`` terms.
+
+    Each family member is built only below the window.
     """
     start = time.monotonic()
     params = dict(params or {})
@@ -907,26 +943,32 @@ def verify_limit_stabilization(id: str, window: int,
     if id in _LIMIT_TARGETS:
         target = _LIMIT_TARGETS[id](window)
         def member(L):
-            return compute_side(IdentityInstance(id, {"L": L}), "RHS")
+            return REGISTRY[id].rhs({"L": L}, window)
     elif id == "binom_limit":
         m = params.get("m", 2)
         target = inv_poch_series(m, 2, window)
         def member(N):
-            return gaussian_binomial(N, m)
+            return gaussian_binomial(N, m, cutoff=window)
     elif id == "binom_limit2":
         nu, j = params.get("nu", 0), params.get("j", 0)
         if nu not in (0, 1) or j < 0:
             raise ValueError("binom_limit2 needs nu in {0,1} and j >= 0")
         target = inv_poch_infinite(MonomialArg(1, 2), 2, window)
         def member(M):
-            return gaussian_binomial(2 * M + nu, M - j)
+            return gaussian_binomial(2 * M + nu, M - j, cutoff=window)
     else:
         raise KeyError(f"no stabilization target for id {id!r}")
 
-    target = target.truncate(window)
+    def checked(series: LaurentSeries, what: str) -> LaurentSeries:
+        if series.cutoff != window:
+            raise ValueError(f"{id}: {what} has cutoff {series.cutoff}, "
+                             f"not the window {window}")
+        return series
+
+    target = checked(target, "target")
     agree_from = None
     for L in range(search_bound + 1):
-        value = member(L).truncate(window)
+        value = checked(member(L), f"member {L}")
         if value.first_mismatch(target) is None:
             if agree_from is None:
                 agree_from = L

@@ -125,16 +125,30 @@ def _gaussian_base(top: int, bottom: int) -> LaurentSeries:
     return exact_divide(num, den)
 
 
-def gaussian_binomial(top: int, bottom: int, step: int = 2) -> LaurentSeries:
-    """The q-binomial [top choose bottom] in base q_step, exact.
+def gaussian_binomial(top: int, bottom: int, step: int = 2,
+                      cutoff: Optional[int] = None) -> LaurentSeries:
+    """The q-binomial [top choose bottom] in base q_step.
 
+    Exact when ``cutoff`` is None; otherwise equal to the exact value
+    truncated at ``cutoff``, built from truncated factors only.
     Zero whenever the pair is out of range (bottom < 0, top < 0 or
     bottom > top), matching the extension used by all the summations here.
     """
     if step < 1:
         raise ValueError("step must be a positive half-exponent")
-    if bottom < 0 or top < 0 or bottom > top:
-        return LaurentSeries.zero()
+    if bottom < 0 or top < 0 or bottom > top or \
+            (cutoff is not None and cutoff < 0):
+        return LaurentSeries.zero(cutoff)
+    if cutoff is not None:
+        # [top, k] = (q^(top-k+1); q)_k / (q; q)_k in base q_step; factors
+        # 1 - q^e with e above the cutoff are 1 there
+        k = min(bottom, top - bottom)
+        out = inv_poch_series(k, step, cutoff)
+        for i in range(top - k + 1, top + 1):
+            if i * step > cutoff:
+                break
+            out = out * _one_minus(1, i * step)
+        return out
     if step % 2 == 0:
         return _gaussian_base(top, bottom).scale_exponents(step // 2)
     num = q_poch(top, step)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .series import LaurentSeries
 from .qblocks import gaussian_binomial
@@ -63,22 +64,39 @@ class RefinedTParams:
             raise ValueError("step must be positive")
 
 
-@lru_cache(maxsize=None)
-def _round_trinomial(L: int, b: int, a: int, step: int) -> LaurentSeries:
-    out = LaurentSeries.zero()
+def _round_sum(L: int, b: int, a: int, step: int,
+               cutoff: Optional[int] = None) -> LaurentSeries:
+    out = LaurentSeries.zero(cutoff)
     for n in range(0, (L - a) // 2 + 1 if L - a >= 0 else 0):
         if n + a < 0 or L - 2 * n - a < 0:
             continue
+        # summand n starts at its shift, as both binomials start at 1
+        sh = n * (n + b) * step
+        below = None if cutoff is None else cutoff - sh
+        if below is not None and below < 0:
+            continue
         # (q)_L / ((q)_n (q)_{n+a} (q)_{L-2n-a}) = [L, n] * [L-n, n+a]
-        term = gaussian_binomial(L, n, step) * \
-            gaussian_binomial(L - n, n + a, step)
-        out = out + term.shift(n * (n + b) * step)
+        term = gaussian_binomial(L, n, step, cutoff=below) * \
+            gaussian_binomial(L - n, n + a, step, cutoff=below)
+        out = out + term.shift(sh)
     return out
 
 
-def round_trinomial(p: TrinomialParams) -> LaurentSeries:
-    """The round q-trinomial coefficient (L, b; a; q_step)_2, exact."""
-    return _round_trinomial(p.L, p.b, p.a, p.step)
+@lru_cache(maxsize=None)
+def _round_trinomial(L: int, b: int, a: int, step: int) -> LaurentSeries:
+    return _round_sum(L, b, a, step)
+
+
+def round_trinomial(p: TrinomialParams,
+                    cutoff: Optional[int] = None) -> LaurentSeries:
+    """The round q-trinomial coefficient (L, b; a; q_step)_2.
+
+    Exact and cached when ``cutoff`` is None; otherwise equal to the exact
+    value truncated at ``cutoff``, built only below it and not cached.
+    """
+    if cutoff is None:
+        return _round_trinomial(p.L, p.b, p.a, p.step)
+    return _round_sum(p.L, p.b, p.a, p.step, cutoff)
 
 
 def t_trinomial(p: TParams) -> LaurentSeries:

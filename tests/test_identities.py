@@ -5,12 +5,16 @@ Scale here is kept small; the acceptance battery (test_acceptance.py)
 runs the full desk-scale sweeps.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qtrin import identities
 from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
-                              bailey_sides, compute_side, verify_identity,
-                              verify_lemma31, verify_limit_stabilization)
+                              bailey_sides, cache_sizes, clear_caches,
+                              compute_side, verify_identity, verify_lemma31,
+                              verify_limit_stabilization)
 from qtrin.series import LaurentSeries
 
 
@@ -138,6 +142,64 @@ class TestPerturbationFixture:
         exp, lhs_c, rhs_c = rep.first_mismatch
         assert exp == q(2)
         assert rhs_c == lhs_c + 1
+
+
+class TestShortenedWindow:
+    """A side known only below the requested cutoff is an error, not a
+    comparison over a shorter window."""
+
+    @staticmethod
+    def shorten(monkeypatch, id, rhs):
+        monkeypatch.setitem(REGISTRY, id,
+                            dataclasses.replace(REGISTRY[id], rhs=rhs))
+
+    def test_truncated_side_shorter_than_request(self, monkeypatch):
+        base = REGISTRY["kr1"].rhs
+        self.shorten(monkeypatch, "kr1", lambda p, c: base(p, c - 2))
+        with pytest.raises(ValueError, match="known only to"):
+            verify_identity(IdentityInstance("kr1", {}, q(10)))
+
+    def test_exact_side_truncated(self, monkeypatch):
+        base = REGISTRY["third_pair"].rhs
+        self.shorten(monkeypatch, "third_pair",
+                     lambda p, c: base(p, c).truncate(q(40)))
+        with pytest.raises(ValueError, match="known only to"):
+            verify_identity(IdentityInstance("third_pair", {"L": 2}))
+
+    def test_stabilization_member_short(self, monkeypatch):
+        base = REGISTRY["third_pair"].rhs
+        self.shorten(monkeypatch, "third_pair",
+                     lambda p, c: base(p, c - 2))
+        with pytest.raises(ValueError, match="member 0"):
+            verify_limit_stabilization("third_pair", window=q(6))
+
+    def test_stabilization_target_short(self, monkeypatch):
+        base = identities._LIMIT_TARGETS["third_pair"]
+        monkeypatch.setitem(identities._LIMIT_TARGETS, "third_pair",
+                            lambda c: base(c - 2))
+        with pytest.raises(ValueError, match="target"):
+            verify_limit_stabilization("third_pair", window=q(6))
+
+
+class TestCaches:
+    NAMES = {"q_poch", "_gaussian_base", "_round_trinomial", "_ratio3",
+             "_ratio4"}
+
+    def test_clear_then_rebuild(self):
+        inst = IdentityInstance("first_pair", {"L": 4})
+
+        def run_cold():
+            clear_caches()
+            assert cache_sizes() == dict.fromkeys(self.NAMES, 0)
+            rep = verify_identity(inst)
+            return (rep.match, rep.first_mismatch), cache_sizes()
+
+        verify_identity(inst)
+        verify_identity(IdentityInstance("thm71", {"M": 2}))
+        assert all(n > 0 for n in cache_sizes().values())
+        first, second = run_cold(), run_cold()
+        assert first == second
+        assert first[0] == (True, None)
 
 
 class TestBailey:
