@@ -19,16 +19,17 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import io
 import json
 import os
 import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 from .acceptance import run_battery
 from .identities import (REGISTRY, IdentityInstance, VerificationReport,
-                         compute_side, identity_ids, verify_identity)
+                         _resolve, compute_side, identity_ids,
+                         verify_identity)
 from .partitions import VARIANTS, capparelli_chain
+from .series import LaurentSeries
 
 USAGE_ERROR = 2
 
@@ -106,20 +107,6 @@ class ReportWriter:
         self.out.flush()
 
 
-def emit_report(records: Iterable[VerificationReport], fmt: str,
-                out=None) -> str:
-    """Serialize a record list; returns the text (and writes to ``out``)."""
-    buf = io.StringIO()
-    w = ReportWriter(fmt, buf)
-    for rep in records:
-        w.write(rep)
-    w.close()
-    text = buf.getvalue()
-    if out is not None:
-        out.write(text)
-    return text
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -195,7 +182,6 @@ def _instances_for_sweep(id: str, ranges: list[tuple[str, list[int]]],
 def _validate(instances):
     """Schema-check every instance up front so bad usage exits 2 before
     any work runs."""
-    from .identities import _resolve
     for inst in instances:
         try:
             _resolve(inst)
@@ -203,22 +189,28 @@ def _validate(instances):
             raise UsageError(str(exc)) from None
 
 
+def _reports(instances, jobs: int):
+    if jobs <= 1 or len(instances) <= 1:
+        yield from map(verify_identity, instances)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        # executor.map preserves input order, so output stays
+        # deterministic whatever the pool size
+        yield from ex.map(verify_identity, instances)
+
+
 def _run_instances(instances, jobs: int, fmt: str, out) -> int:
     _validate(instances)
     writer = ReportWriter(fmt, out)
     all_match = True
-    if jobs <= 1 or len(instances) <= 1:
-        for inst in instances:
-            rep = verify_identity(inst)
+    try:
+        for rep in _reports(instances, jobs):
             all_match &= rep.match
             writer.write(rep)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            # executor.map preserves input order, so output stays
-            # deterministic whatever the pool size
-            for rep in ex.map(verify_identity, instances):
-                all_match &= rep.match
-                writer.write(rep)
+    except ValueError as exc:
+        # a side known only below the requested cutoff: a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        all_match = False
     writer.close()
     return 0 if all_match else 1
 
@@ -247,6 +239,8 @@ def cmd_coeffs(args, out) -> int:
     inst = IdentityInstance(args.id, params, _cutoff_halves(args))
     _validate([inst])
     side = compute_side(inst, args.side)
+    if not isinstance(side, LaurentSeries):
+        raise UsageError(f"{inst.id} {args.side} is a series in (t, q), not q")
     rows = [{"exponent_halves": e, "coefficient": side.terms[e]}
             for e in sorted(side.terms)]
     if args.format == "json":
@@ -272,6 +266,8 @@ def cmd_partitions(args, out) -> int:
     if args.variant not in VARIANTS:
         raise UsageError(f"unknown variant {args.variant!r}; "
                          f"known: {', '.join(sorted(VARIANTS))}")
+    if args.nmax < 0:
+        raise UsageError("--nmax must be non-negative")
     rows = capparelli_chain(args.nmax, VARIANTS[args.variant])
     all_equal = all(r["congruence"] == r["difference"]
                     == r["product"] == r["double_sum"] for r in rows)

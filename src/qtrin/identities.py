@@ -437,14 +437,15 @@ def _outlook2_rhs(p, c):
 
 
 def _qbin_lhs(p, c):
-    a = MonomialArg(p["a_sign"], p["a_exp"])
     zs, ze = p["z_sign"], p["z_exp"]
     out = LaurentSeries.zero(c)
-    n = 0
-    while n * ze <= c:
-        term = poch_finite(a, 2, n) * inv_poch_series(n, 2, c)
+    # (a;q)_n / (q;q)_n, kept below c - n*ze, where summand n starts
+    term = LaurentSeries.one().truncate(c)
+    for n in range(c // ze + 1):
         out = out + term.shift(n * ze).scale_coeffs(zs ** n)
-        n += 1
+        term = term.truncate(c - (n + 1) * ze) * \
+            qblocks._one_minus(p["a_sign"], p["a_exp"] + 2 * n)
+        term = term.div_one_minus(1, 2 * (n + 1))
     return out
 
 
@@ -458,11 +459,12 @@ def _qbin_rhs(p, c):
 def _qexp_lhs(p, c):
     zs, ze = p["z_sign"], p["z_exp"]
     out = LaurentSeries.zero(c)
+    term = LaurentSeries.one().truncate(c)     # 1 / (q;q)_n
     n = 0
     while n * (n - 1) + n * ze <= c:
-        term = inv_poch_series(n, 2, c)
         out = out + term.shift(n * (n - 1) + n * ze).scale_coeffs(zs ** n)
         n += 1
+        term = term.truncate(c - n * (n - 1) - n * ze).div_one_minus(1, 2 * n)
     return out
 
 
@@ -580,19 +582,12 @@ def _hierarchy_rhs(p, c):
 # ---------------------------------------------------------------------------
 # genfun products: bivariate (t, q) cross-check of the three pair identities
 
-def _pair_rhs_poly(pair: int, L: int) -> LaurentSeries:
-    if pair == 1:
-        return _first_pair_rhs({"L": L}, None)
-    if pair == 2:
-        return _second_pair_rhs({"L": L}, None)
-    return _third_pair_rhs({"L": L}, None)
-
-
 def _genfun_lhs(p, c):
     pair, tcut = p["pair"], p["t_cutoff"]
+    rhs = REGISTRY[("first_pair", "second_pair", "third_pair")[pair - 1]].rhs
     out = TrivariateSeries({}, t_cutoff=tcut, q_cutoff=c)
     for L in range(tcut + 1):
-        coeff = inv_poch_series(L, 6, c) * _pair_rhs_poly(pair, L)
+        coeff = inv_poch_series(L, 6, c) * rhs({"L": L}, None)
         out = out + TrivariateSeries.term(L, 0, coeff,
                                           t_cutoff=tcut, q_cutoff=c)
     return out
@@ -749,8 +744,9 @@ def _resolve(instance: IdentityInstance) -> IdentityDef:
             f"missing {missing}, unexpected {extra}")
     if d.check is not None:
         d.check(instance.params)
-    if d.mode == "truncated" and instance.cutoff is None:
-        raise ValueError(f"{instance.id} needs a truncation cutoff")
+    if d.mode == "truncated" and (instance.cutoff is None
+                                  or instance.cutoff < 0):
+        raise ValueError(f"{instance.id} needs a cutoff >= 0")
     if d.mode == "exact" and instance.cutoff is not None:
         raise ValueError(f"{instance.id} is an exact identity; no cutoff")
     return d

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .series import LaurentSeries, exact_divide
+from .series import LaurentSeries
 
 
 @dataclass(frozen=True)
@@ -73,30 +73,20 @@ def poch_infinite(arg: MonomialArg, step: int, cutoff: int) -> LaurentSeries:
     out = LaurentSeries.one().truncate(cutoff)
     if arg.sign == 0:
         return out
-    k = 0
-    while arg.exp + k * step <= cutoff:
-        out = out * _one_minus(arg.sign, arg.exp + k * step)
-        k += 1
+    for e in range(arg.exp, cutoff + 1, step):
+        out = out * _one_minus(arg.sign, e)
     return out
 
 
 def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int) -> LaurentSeries:
-    """1 / (a; q_step)_infinity truncated at cutoff.
-
-    Expanded as a product of geometric series, one per factor; exact below
-    the cutoff.
-    """
+    """1 / (a; q_step)_infinity truncated at cutoff, exact below it."""
     if arg.sign != 0 and arg.exp <= 0:
         raise ValueError("infinite product diverges: argument exponent <= 0")
     out = LaurentSeries.one().truncate(cutoff)
     if arg.sign == 0:
         return out
-    k = 0
-    while arg.exp + k * step <= cutoff:
-        e = arg.exp + k * step
-        geom = {i * e: arg.sign ** i for i in range(cutoff // e + 1)}
-        out = out * LaurentSeries(geom, cutoff)
-        k += 1
+    for e in range(arg.exp, cutoff + 1, step):
+        out = out.div_one_minus(arg.sign, e)
     return out
 
 
@@ -109,20 +99,29 @@ def inv_poch_series(n: int, step: int, cutoff: int) -> LaurentSeries:
     if n < 0:
         return LaurentSeries.zero(cutoff)
     out = LaurentSeries.one().truncate(cutoff)
-    for k in range(1, n + 1):
-        e = k * step
-        if e > cutoff:
-            break
-        geom = {i * e: 1 for i in range(cutoff // e + 1)}
-        out = out * LaurentSeries(geom, cutoff)
+    for k in range(1, min(n, cutoff // step) + 1):
+        out = out.div_one_minus(1, k * step)
+    return out
+
+
+def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,
+                   step: int) -> LaurentSeries:
+    """out * [top, bottom] in base q_step, 0 <= bottom <= top, one factor
+    (1 - q_step^(top-k+i)) / (1 - q_step^i) at a time, k = min(bottom,
+    top - bottom); after factor i the product holds [top-k+i, i].  Below
+    the cutoff of a truncated out, factors with q_step^i above it are 1."""
+    k = min(bottom, top - bottom)
+    last = k if out.cutoff is None else min(k, out.cutoff // step)
+    for i in range(1, last + 1):
+        out = out * _one_minus(1, (top - k + i) * step)
+        out = out.div_one_minus(1, i * step)
     return out
 
 
 @lru_cache(maxsize=None)
 def _gaussian_base(top: int, bottom: int) -> LaurentSeries:
-    num = q_poch(top, 2)
-    den = q_poch(bottom, 2) * q_poch(top - bottom, 2)
-    return exact_divide(num, den)
+    """[top, bottom] in base q^(1/2), cached."""
+    return _gaussian_loop(LaurentSeries.one(), top, bottom, 1)
 
 
 def gaussian_binomial(top: int, bottom: int, step: int = 2,
@@ -136,21 +135,9 @@ def gaussian_binomial(top: int, bottom: int, step: int = 2,
     """
     if step < 1:
         raise ValueError("step must be a positive half-exponent")
-    if bottom < 0 or top < 0 or bottom > top or \
-            (cutoff is not None and cutoff < 0):
+    if bottom < 0 or top < 0 or bottom > top:
         return LaurentSeries.zero(cutoff)
-    if cutoff is not None:
-        # [top, k] = (q^(top-k+1); q)_k / (q; q)_k in base q_step; factors
-        # 1 - q^e with e above the cutoff are 1 there
-        k = min(bottom, top - bottom)
-        out = inv_poch_series(k, step, cutoff)
-        for i in range(top - k + 1, top + 1):
-            if i * step > cutoff:
-                break
-            out = out * _one_minus(1, i * step)
-        return out
-    if step % 2 == 0:
-        return _gaussian_base(top, bottom).scale_exponents(step // 2)
-    num = q_poch(top, step)
-    den = q_poch(bottom, step) * q_poch(top - bottom, step)
-    return exact_divide(num, den)
+    if cutoff is None:
+        return _gaussian_base(top, bottom).scale_exponents(step)
+    return _gaussian_loop(LaurentSeries.one().truncate(cutoff), top, bottom,
+                          step)

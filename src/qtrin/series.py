@@ -14,7 +14,7 @@ construction and safe to share between workers.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 
 def _min_cutoff(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -139,6 +139,25 @@ class LaurentSeries:
                 else:
                     del out[e]
         return LaurentSeries(out, cut)
+
+    def div_one_minus(self, sign: int, exp: int) -> "LaurentSeries":
+        """Quotient by 1 - sign * q^(exp/2), exp >= 1: the strided prefix
+        sum r[n] = self[n] + sign * r[n - exp].  A truncated series keeps
+        its cutoff; an exact one must be a multiple, else the non-zero
+        remainder raises ValueError."""
+        if exp < 1:
+            raise ValueError("div_one_minus needs exp >= 1")
+        if sign == 0 or not self.terms:
+            return self
+        top = max(self.terms) if self.cutoff is None else self.cutoff
+        out: dict[int, int] = {}
+        for n in range(min(self.terms), top + 1):
+            acc = self.terms.get(n, 0) + sign * out.get(n - exp, 0)
+            if acc:
+                out[n] = acc
+        if self.cutoff is None and out and max(out) > top - exp:
+            raise ValueError("non-zero remainder: not a multiple")
+        return LaurentSeries(out, self.cutoff)
 
     def scale_coeffs(self, k: int) -> "LaurentSeries":
         if k == 0:

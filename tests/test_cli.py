@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, report schema, determinism."""
 
+import dataclasses
 import io
 import json
 import re
@@ -7,7 +8,7 @@ import re
 import pytest
 
 from qtrin import cli
-from qtrin.identities import IdentityInstance, VerificationReport
+from qtrin.identities import REGISTRY, IdentityInstance, VerificationReport
 
 
 def run(argv):
@@ -69,6 +70,69 @@ class TestVerify:
             {"exponent_halves": 4, "lhs": 1, "rhs": 2}
 
 
+# one valid parameter set for every truncated-mode id
+TRUNCATED_PARAMS = {
+    "kr1": {}, "cap2": {}, "outlook2": {},
+    "q_binomial_theorem": {"a_sign": 1, "a_exp": 2, "z_sign": 1, "z_exp": 2},
+    "q_exponential": {"z_sign": 1, "z_exp": 2},
+    "jtp": {"z_sign": 1, "z_exp": 0},
+    "genfun_products": {"pair": 1, "t_cutoff": 2},
+}
+TRUNCATED_IDS = sorted(id for id, d in REGISTRY.items()
+                       if d.mode == "truncated")
+
+
+class TestCutoffRange:
+    @staticmethod
+    def verify(id, cutoff):
+        argv = ["verify", "--id", id, "--cutoff", str(cutoff)]
+        for k, v in TRUNCATED_PARAMS[id].items():
+            argv += ["--param", f"{k}={v}"]
+        return run(argv)
+
+    @pytest.mark.parametrize("id", TRUNCATED_IDS)
+    def test_negative_cutoff_exits_2(self, id):
+        for cutoff in (-1, -4):
+            assert self.verify(id, cutoff) == (2, "")
+
+    @pytest.mark.parametrize("id", TRUNCATED_IDS)
+    def test_zero_cutoff_matches(self, id):
+        code, text = self.verify(id, 0)
+        assert code == 0
+        assert json.loads(text)[0]["match"] is True
+
+
+class TestShortenedWindow:
+    """A side known only below the requested cutoff is a failed check:
+    an ``error:`` line and exit 1, not a traceback."""
+
+    @staticmethod
+    def shorten(monkeypatch, id, rhs):
+        monkeypatch.setitem(REGISTRY, id,
+                            dataclasses.replace(REGISTRY[id], rhs=rhs))
+
+    def test_verify(self, monkeypatch, capsys):
+        base = REGISTRY["kr1"].rhs
+        self.shorten(monkeypatch, "kr1", lambda p, c: base(p, c - 2))
+        code, text = run(["verify", "--id", "kr1", "--cutoff", "20"])
+        assert code == 1
+        assert json.loads(text) == []
+        assert capsys.readouterr().err.startswith("error: kr1: RHS is known "
+                                                  "only to 18")
+
+    def test_sweep(self, monkeypatch, capsys):
+        base = REGISTRY["third_pair"].rhs
+        self.shorten(monkeypatch, "third_pair", lambda p, c: base(p, c)
+                     if p["L"] < 2 else base(p, c).truncate(4))
+        code, text = run(["sweep", "--id", "third_pair", "--range", "L=0..3",
+                          "--jobs", "1"])
+        assert code == 1
+        # the records before the failing instance stay valid JSON
+        assert [r["params"] for r in json.loads(text)] == [{"L": 0}, {"L": 1}]
+        assert capsys.readouterr().err.startswith(
+            "error: third_pair: RHS is known only to 4")
+
+
 class TestSweep:
     def test_csv_rows(self):
         code, text = run(["sweep", "--id", "thm71", "--range", "M=0..8",
@@ -104,26 +168,37 @@ class TestSweep:
 
 
 class TestEmitReport:
+    """Emitting a whole report through ``ReportWriter``."""
+
     def records(self):
         return [VerificationReport(
             IdentityInstance("thm71", {"M": 2}), True, None, 7)]
 
+    @staticmethod
+    def emit(records, fmt):
+        buf = io.StringIO()
+        writer = cli.ReportWriter(fmt, buf)
+        for rep in records:
+            writer.write(rep)
+        writer.close()
+        return buf.getvalue()
+
     def test_empty_json(self):
-        assert json.loads(cli.emit_report([], "json")) == []
+        assert json.loads(self.emit([], "json")) == []
 
     def test_empty_csv_header_only(self):
-        lines = cli.emit_report([], "csv").strip().splitlines()
+        lines = self.emit([], "csv").strip().splitlines()
         assert len(lines) == 1
 
     def test_byte_identical_for_same_records(self):
         recs = self.records()
-        assert cli.emit_report(recs, "json") == cli.emit_report(recs, "json")
-        assert cli.emit_report(recs, "csv") == cli.emit_report(recs, "csv")
+        assert self.emit(recs, "json") == self.emit(recs, "json")
+        assert self.emit(recs, "csv") == self.emit(recs, "csv")
 
     def test_mismatch_populated(self):
         rep = VerificationReport(
             IdentityInstance("thm71", {"M": 1}), False, (6, 0, 1), 3)
-        rec = json.loads(cli.emit_report([rep], "json"))[0]
+        rec = json.loads(self.emit([rep], "json"))[0]
         assert rec["first_mismatch"] == \
             {"exponent_halves": 6, "lhs": 0, "rhs": 1}
 
@@ -148,6 +223,14 @@ class TestCoeffs:
         code, _ = run(["coeffs", "--id", "kr1", "--side", "LHS"])
         assert code == 2
 
+    @pytest.mark.parametrize("side", ["LHS", "RHS"])
+    def test_bivariate_side_exits_2(self, side, capsys):
+        code, text = run(["coeffs", "--id", "genfun_products", "--param",
+                          "pair=1", "--param", "t_cutoff=2", "--cutoff", "10",
+                          "--side", side])
+        assert (code, text) == (2, "")
+        assert "series in (t, q)" in capsys.readouterr().err
+
 
 class TestPartitionsCommand:
     def test_compare_ok(self):
@@ -157,6 +240,10 @@ class TestPartitionsCommand:
         payload = json.loads(text)
         assert payload["all_equal"] is True
         assert len(payload["rows"]) == 16
+
+    def test_negative_nmax(self):
+        code, text = run(["partitions", "--variant", "first", "--nmax", "-1"])
+        assert (code, text) == (2, "")
 
     def test_unknown_variant(self):
         code, _ = run(["partitions", "--variant", "third", "--nmax", "5"])

@@ -37,6 +37,11 @@ class TestRegistrySchema:
         with pytest.raises(ValueError):
             verify_identity(IdentityInstance("kr1", {}))
 
+    @pytest.mark.parametrize("cutoff", [-1, -4])
+    def test_negative_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff >= 0"):
+            verify_identity(IdentityInstance("kr1", {}, cutoff))
+
     def test_cutoff_rejected_for_exact(self):
         with pytest.raises(ValueError):
             verify_identity(IdentityInstance("third_pair", {"L": 2}, q(10)))

@@ -161,6 +161,52 @@ class TestExactDivide:
             exact_divide(S({0: 1}), LaurentSeries.zero())
 
 
+def geometric(sign, exp, cutoff):
+    """1 / (1 - sign * q^(exp/2)) truncated at cutoff, as a geometric
+    series: the reference construction for division by one factor."""
+    return S({i * exp: sign ** i for i in range(cutoff // exp + 1)}, cutoff)
+
+
+signs = st.sampled_from([-1, 0, 1])
+
+
+class TestDivOneMinus:
+    @given(small_polys, signs, st.integers(1, 7))
+    def test_matches_exact_divide(self, p, sign, exp):
+        den = S({0: 1}) + S({exp: -sign})
+        num = p * den
+        assert num.div_one_minus(sign, exp) == exact_divide(num, den) == p
+
+    @given(small_polys, signs, st.integers(1, 7), st.integers(-10, 40))
+    def test_matches_geometric_series(self, p, sign, exp, cutoff):
+        t = p.truncate(cutoff)
+        # the geometric factor must reach cutoff - min(t) for the product
+        # to be known through the cutoff
+        reach = max(0, cutoff - min(0, min(t.terms, default=0)))
+        assert t.div_one_minus(sign, exp) == t * geometric(sign, exp, reach)
+
+    def test_cyclotomic(self):
+        # (1 - q^3) / (1 - q) = 1 + q + q^2
+        assert S({0: 1, q(3): -1}).div_one_minus(1, q(1)) == \
+            S({0: 1, q(1): 1, q(2): 1})
+
+    @given(small_polys, st.sampled_from([-1, 1]), st.integers(1, 7),
+           st.integers(-8, 12), st.integers(1, 9))
+    def test_non_multiple_raises(self, p, sign, exp, e, c):
+        # a monomial is never a multiple of 1 -+ q^(exp/2)
+        num = p * (S({0: 1}) + S({exp: -sign})) + S({e: c})
+        with pytest.raises(ValueError, match="non-zero remainder"):
+            num.div_one_minus(sign, exp)
+
+    @pytest.mark.parametrize("exp", [0, -1, -4])
+    def test_exponent_below_one_raises(self, exp):
+        for series in (S({0: 1, q(1): 1}), S({0: 1}, q(4)),
+                       LaurentSeries.zero()):
+            for sign in (-1, 0, 1):
+                with pytest.raises(ValueError, match="exp >= 1"):
+                    series.div_one_minus(sign, exp)
+
+
 class TestTrivariate:
     def test_one_and_entry(self):
         t = TrivariateSeries.one(t_cutoff=3, q_cutoff=10)
