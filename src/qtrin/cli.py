@@ -190,10 +190,12 @@ def _validate(instances):
 
 
 def _reports(instances, jobs: int):
-    if jobs <= 1 or len(instances) <= 1:
+    # fork starts every worker at the first submit: no more than needed
+    workers = min(jobs, len(instances), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(verify_identity, instances)
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         # executor.map preserves input order, so output stays
         # deterministic whatever the pool size
         yield from ex.map(verify_identity, instances)

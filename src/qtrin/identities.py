@@ -18,9 +18,10 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from . import qblocks, trinomials
-from .series import LaurentSeries, TrivariateSeries, exact_divide
-from .qblocks import (MonomialArg, gaussian_binomial, inv_poch_infinite,
-                      inv_poch_series, poch_finite, poch_infinite, q_poch)
+from .series import LaurentSeries, TrivariateSeries
+from .qblocks import (MonomialArg, div_poch, gaussian_binomial,
+                      inv_poch_infinite, inv_poch_series, poch_finite,
+                      poch_infinite, q_poch)
 from .trinomials import (RefinedTParams, TParams, TrinomialParams,
                          refined_trinomial, round_trinomial, t_trinomial)
 
@@ -74,20 +75,22 @@ def _outlook2_exp(m: int, n: int) -> int:
 # shared building blocks
 
 @lru_cache(maxsize=None)
-def _ratio3(L: int, n: int) -> LaurentSeries:
-    """(q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n); zero when L-2n < 0."""
-    if n < 0 or L - 2 * n < 0:
+def _ratio4(M: int, m: int, n: int) -> LaurentSeries:
+    """(q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_{M-2n-m}), divided
+    one denominator factor at a time in base q^(1/2), then scaled to q.
+    Every partial quotient is a polynomial, so a remainder still raises."""
+    d = M - 2 * n - m
+    if m < 0 or n < 0 or d < 0:
         return LaurentSeries.zero()
-    return exact_divide(q_poch(L, 6), q_poch(L - 2 * n, 2) * q_poch(n, 6))
+    out = div_poch(div_poch(q_poch(M, 3), m, 1), n, 3)
+    return div_poch(out, d, 3).scale_exponents(2)
 
 
 @lru_cache(maxsize=None)
-def _ratio4(M: int, m: int, n: int) -> LaurentSeries:
-    """(q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_{M-2n-m})."""
-    if m < 0 or n < 0 or M - 2 * n - m < 0:
-        return LaurentSeries.zero()
-    den = q_poch(m, 2) * q_poch(n, 6) * q_poch(M - 2 * n - m, 6)
-    return exact_divide(q_poch(M, 6), den)
+def _ratio3(L: int, n: int) -> LaurentSeries:
+    """(q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n); zero when L-2n < 0.
+    The cached value is the one _ratio4 holds, (q^3;q^3)_0 being 1."""
+    return _ratio4(L, L - 2 * n, n)
 
 
 # The lru_caches of the exact path, held as the cached callables
@@ -128,16 +131,18 @@ def _double_sum(shift_fn: Callable[[int, int], int], cutoff: int) -> LaurentSeri
     grow quadratically so only finitely many terms land below the cutoff.
     """
     out = LaurentSeries.zero(cutoff)
+    inv_m = LaurentSeries.one().truncate(cutoff)        # 1/(q;q)_m
     m = 0
     while shift_fn(m, 0) <= cutoff or m == 0:
+        inv_mn = inv_m                       # 1/((q;q)_m (q^3;q^3)_n)
         n = 0
         while shift_fn(m, n) <= cutoff:
             e = shift_fn(m, n)
-            term = inv_poch_series(m, 2, cutoff - e) * \
-                inv_poch_series(n, 6, cutoff - e)
-            out = out + term.shift(e)
+            out = out + inv_mn.truncate(cutoff - e).shift(e)
             n += 1
+            inv_mn = inv_mn.div_one_minus(1, 6 * n)
         m += 1
+        inv_m = inv_m.div_one_minus(1, 2 * m)
         if m > 4 * cutoff + 8:
             raise ValueError("double sum failed to terminate")
     return out
@@ -582,41 +587,46 @@ def _hierarchy_rhs(p, c):
 # ---------------------------------------------------------------------------
 # genfun products: bivariate (t, q) cross-check of the three pair identities
 
+def _euler(a: int, b: int, c: int, step: int, inverse: bool, t_cutoff: int,
+           q_cutoff: int) -> TrivariateSeries:
+    """(z; q_step)_inf, or its reciprocal if ``inverse``, for the monomial
+    z = t^a x^b q^(c/2), a >= 1, through t^t_cutoff, from Euler's sums
+    1/(z;Q)_inf = sum_m z^m/(Q;Q)_m and
+    (z;Q)_inf = sum_m (-1)^m Q^(m(m-1)/2) z^m/(Q;Q)_m, Q = q_step."""
+    ms = range(t_cutoff // a + 1)
+    exps = [m * c + (0 if inverse else step * m * (m - 1) // 2) for m in ms]
+    inv = LaurentSeries.one().truncate(q_cutoff - min([0, *exps]))  # 1/(Q;Q)_m
+    entries = {}
+    for m, e in zip(ms, exps):
+        sign = 1 if inverse else (-1) ** m
+        entries[(a * m, b * m)] = \
+            inv.truncate(q_cutoff - e).shift(e).scale_coeffs(sign)
+        inv = inv.div_one_minus(1, (m + 1) * step)
+    return TrivariateSeries(entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
+
+
 def _genfun_lhs(p, c):
     pair, tcut = p["pair"], p["t_cutoff"]
     rhs = REGISTRY[("first_pair", "second_pair", "third_pair")[pair - 1]].rhs
     out = TrivariateSeries({}, t_cutoff=tcut, q_cutoff=c)
+    inv = LaurentSeries.one().truncate(c)                # 1/(q^3;q^3)_L
     for L in range(tcut + 1):
-        coeff = inv_poch_series(L, 6, c) * rhs({"L": L}, None)
-        out = out + TrivariateSeries.term(L, 0, coeff,
+        out = out + TrivariateSeries.term(L, 0, inv * rhs({"L": L}, None),
                                           t_cutoff=tcut, q_cutoff=c)
+        inv = inv.div_one_minus(1, 6 * (L + 1))
     return out
 
 
 def _genfun_rhs(p, c):
     pair, tcut = p["pair"], p["t_cutoff"]
-
-    def tri(entries):
-        return TrivariateSeries(entries, t_cutoff=tcut, q_cutoff=c)
-
-    # (t^2 q^e; q^3)_inf via the q-exponential sum in base q^3
-    def theta_factor(e_half):
-        ent = {}
-        for m in range(tcut // 2 + 1):
-            s = inv_poch_series(m, 6, c).shift(m * e_half + 3 * m * (m - 1))
-            ent[(2 * m, 0)] = s.scale_coeffs((-1) ** m)
-        return tri(ent)
-
-    inv_t = tri({(m, 0): inv_poch_series(m, 2, c) for m in range(tcut + 1)})
-    if pair == 2:
-        prod = theta_factor(2) * inv_t
-    else:
-        prod = theta_factor(4) * inv_t
+    # (t^2 q^e; q^3)_inf / (t; q)_inf, e = 1 for pair 2 and 2 otherwise
+    prod = _euler(2, 0, 2 if pair == 2 else 4, 6, False, tcut, c) * \
+        _euler(1, 0, 0, 2, True, tcut, c)
     if pair == 1:
-        one_plus_q = tri({(0, 0): LaurentSeries({0: 1, 2: 1})})
-        inv_one_plus_tq = tri({(k, 0): LaurentSeries({2 * k: (-1) ** k})
-                               for k in range(tcut + 1)})
-        prod = prod * one_plus_q * inv_one_plus_tq
+        # times (1 + q) / (1 + t q) = sum_k (-1)^k t^k (q^k + q^(k+1))
+        prod = prod * TrivariateSeries(
+            {(k, 0): LaurentSeries({2 * k: (-1) ** k, 2 * k + 2: (-1) ** k})
+             for k in range(tcut + 1)}, t_cutoff=tcut, q_cutoff=c)
     return prod
 
 
@@ -876,34 +886,14 @@ def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:
             if rt.is_zero():
                 continue
             need = cw - min(0, rt.min_exp())
-            s = inv_poch_series(L, 2, need) * rt
-            key = (L, j)
-            cur = lhs_entries.get(key)
-            lhs_entries[key] = s if cur is None else cur + s
+            lhs_entries[(L, j)] = inv_poch_series(L, 2, need) * rt
     lhs = TrivariateSeries(lhs_entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
 
-    def tri(entries):
-        return TrivariateSeries(entries, t_cutoff=t_cutoff, q_cutoff=cw)
-
-    # numerator (t^2 q^{-n}; q)_inf via the q-exponential sum
-    num_entries = {}
-    for m in range(t_cutoff // 2 + 1):
-        e = m * (m - 1) - 2 * n * m
-        s = inv_poch_series(m, 2, cw - min(0, e)).shift(e)
-        num_entries[(2 * m, 0)] = s.scale_coeffs((-1) ** m)
-    numerator = tri(num_entries)
-
-    def euler_inverse(x_exp_per_t: int, q_shift_per_t: int):
-        # 1/(t x^? q^?; q)_inf = sum_m (t x^? q^?)^m / (q;q)_m
-        ent = {}
-        for m in range(t_cutoff + 1):
-            e = m * q_shift_per_t
-            ent[(m, m * x_exp_per_t)] = \
-                inv_poch_series(m, 2, cw - min(0, e)).shift(e)
-        return tri(ent)
-
-    rhs = numerator * euler_inverse(0, 0) * \
-        euler_inverse(-1, -2 * n) * euler_inverse(1, 0)
+    # (t^2 q^{-n}; q)_inf / ((t; q)_inf (t x^-1 q^-n; q)_inf (t x; q)_inf)
+    rhs = _euler(2, 0, -2 * n, 2, False, t_cutoff, cw) * \
+        _euler(1, 0, 0, 2, True, t_cutoff, cw) * \
+        _euler(1, -1, -2 * n, 2, True, t_cutoff, cw) * \
+        _euler(1, 1, 0, 2, True, t_cutoff, cw)
     rhs = TrivariateSeries(rhs.entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
 
     mism = lhs.first_mismatch(rhs)

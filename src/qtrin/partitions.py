@@ -16,7 +16,6 @@ one definition of each product and double sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .identities import IdentityInstance, compute_side
 
@@ -55,20 +54,21 @@ class Partition:
         return sum(self.parts)
 
 
+def _congruence_column(n_max: int, v: CapparelliVariant) -> list[int]:
+    """congruence_side_count(n, v) for n = 0..n_max, one subset-sum count."""
+    ways = [1] + [0] * n_max
+    for p in range(1, n_max + 1):
+        if p % 6 in v.forbidden_residues:
+            continue
+        for s in range(n_max, p - 1, -1):
+            ways[s] += ways[s - p]
+    return ways
+
+
 def congruence_side_count(n: int, v: CapparelliVariant) -> int:
     """Partitions of n into distinct parts with no part in the forbidden
     residue classes mod 6.  Negative n counts zero (vacuous)."""
-    if n < 0:
-        return 0
-    allowed = [p for p in range(1, n + 1)
-               if p % 6 not in v.forbidden_residues]
-    # distinct-part subset-sum count
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for p in allowed:
-        for s in range(n, p - 1, -1):
-            ways[s] += ways[s - p]
-    return ways[n]
+    return _congruence_column(n, v)[n] if n >= 0 else 0
 
 
 def _gap_ok(lower: int, upper: int) -> bool:
@@ -83,28 +83,24 @@ def _gap_ok(lower: int, upper: int) -> bool:
     return False
 
 
+def _difference_column(n_max: int, v: CapparelliVariant) -> list[int]:
+    """difference_side_count(n, v) for n = 0..n_max; ends[s][p] counts the
+    partitions of s that obey the conditions and have largest part p."""
+    ends = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    for s in range(1, n_max + 1):
+        for p in range(1, s + 1):
+            if p != v.excluded_part:
+                below = ends[s - p]
+                ends[s][p] = (s == p) + sum(
+                    below[q] for q in range(1, min(p - 1, s - p + 1))
+                    if _gap_ok(q, p))
+    return [1] + [sum(row) for row in ends[1:]]
+
+
 def difference_side_count(n: int, v: CapparelliVariant) -> int:
     """Partitions of n avoiding the excluded part, with gaps >= 2 and the
     gaps 2 and 3 only in their sanctioned shapes."""
-    if n < 0:
-        return 0
-
-    @lru_cache(maxsize=None)
-    def count(remaining: int, last: int) -> int:
-        # extend upward: next part p > last with _gap_ok(last, p);
-        # last == 0 means no part chosen yet
-        total = 1 if remaining == 0 else 0
-        for p in range(1, remaining + 1):
-            if p == v.excluded_part:
-                continue
-            if last and not _gap_ok(last, p):
-                continue
-            total += count(remaining - p, p)
-        return total
-
-    result = count(n, 0)
-    count.cache_clear()
-    return result
+    return _difference_column(n, v)[n] if n >= 0 else 0
 
 
 def difference_side_partitions(n: int, v: CapparelliVariant) -> list[Partition]:
@@ -150,15 +146,9 @@ def capparelli_chain(n_max: int, v: CapparelliVariant) -> list[dict]:
     double-sum coefficient (kr1 for the first variant, cap2 for the
     second).
     """
-    prod = product_coefficients(v, n_max)
-    dsum = doublesum_coefficients(v.series_id, n_max)
-    rows = []
-    for n in range(n_max + 1):
-        rows.append({
-            "n": n,
-            "congruence": congruence_side_count(n, v),
-            "difference": difference_side_count(n, v),
-            "product": prod[n],
-            "double_sum": dsum[n],
-        })
-    return rows
+    columns = zip(_congruence_column(n_max, v), _difference_column(n_max, v),
+                  product_coefficients(v, n_max),
+                  doublesum_coefficients(v.series_id, n_max))
+    return [{"n": n, "congruence": cong, "difference": diff,
+             "product": prod, "double_sum": dsum}
+            for n, (cong, diff, prod, dsum) in enumerate(columns)]

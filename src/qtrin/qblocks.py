@@ -90,6 +90,16 @@ def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int) -> LaurentSeries
     return out
 
 
+def div_poch(out: LaurentSeries, n: int, step: int) -> LaurentSeries:
+    """out / (q_step; q_step)_n, one factor (1 - q_step^k) at a time; an
+    exact out that is not a multiple raises ValueError.  Below the cutoff of
+    a truncated out with no negative exponents, factors past it are 1."""
+    last = n if out.cutoff is None else min(n, out.cutoff // step)
+    for k in range(1, last + 1):
+        out = out.div_one_minus(1, k * step)
+    return out
+
+
 def inv_poch_series(n: int, step: int, cutoff: int) -> LaurentSeries:
     """Truncated 1/(q_step; q_step)_n; the zero series for n < 0.
 
@@ -98,10 +108,7 @@ def inv_poch_series(n: int, step: int, cutoff: int) -> LaurentSeries:
     """
     if n < 0:
         return LaurentSeries.zero(cutoff)
-    out = LaurentSeries.one().truncate(cutoff)
-    for k in range(1, min(n, cutoff // step) + 1):
-        out = out.div_one_minus(1, k * step)
-    return out
+    return div_poch(LaurentSeries.one().truncate(cutoff), n, step)
 
 
 def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,

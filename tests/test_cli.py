@@ -167,6 +167,55 @@ class TestSweep:
         assert code == 2
 
 
+class TestPoolSize:
+    """``--jobs`` asks for at most this many workers; the pool gets no
+    more than there are instances or cores.  A fake executor records the
+    size and maps in-process, so no worker process is ever started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            FakeExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        return sizes
+
+    @pytest.mark.parametrize("jobs, top, want", [
+        (5000, 1, [2]),       # two instances
+        (5000, 8, [4]),       # four cores
+        (3, 8, [3]),          # the jobs asked for
+        (2, 0, []),           # one instance: no pool
+        (1, 8, []),           # serial
+    ])
+    def test_workers(self, pools, jobs, top, want):
+        code, text = run(["sweep", "--id", "thm71", "--range", f"M=0..{top}",
+                          "--jobs", str(jobs)])
+        assert code == 0
+        assert len(json.loads(text)) == top + 1
+        assert pools == want
+
+    def test_unknown_cpu_count_runs_serially(self, pools, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        code, _ = run(["sweep", "--id", "thm71", "--range", "M=0..3",
+                       "--jobs", "5000"])
+        assert code == 0
+        assert pools == []
+
+
 class TestEmitReport:
     """Emitting a whole report through ``ReportWriter``."""
 

@@ -15,7 +15,8 @@ from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
                               bailey_sides, cache_sizes, clear_caches,
                               compute_side, verify_identity, verify_lemma31,
                               verify_limit_stabilization)
-from qtrin.series import LaurentSeries
+from qtrin.qblocks import q_poch
+from qtrin.series import LaurentSeries, TrivariateSeries, exact_divide
 
 
 def q(k):
@@ -243,6 +244,10 @@ class TestLemma31:
         rep = verify_lemma31(0, t_cutoff=0, q_cutoff=q(4))
         assert rep.match
 
+    def test_no_t_degrees(self):
+        # both sides are empty series in t
+        assert verify_lemma31(1, t_cutoff=-1, q_cutoff=q(4)).match
+
     def test_small_window(self):
         for n in (-1, 0, 1):
             rep = verify_lemma31(n, t_cutoff=4, q_cutoff=q(8))
@@ -257,6 +262,63 @@ class TestLemma31:
             rep = verify_identity(IdentityInstance(
                 "genfun_products", {"pair": pair, "t_cutoff": 4}, q(8)))
             assert rep.match, (pair, rep.first_mismatch)
+
+
+class TestEuler:
+    """Euler's two sums give (z; Q)_inf and its reciprocal, z = t^a x^b
+    q^(c/2); their product is 1 as a series in t."""
+
+    def test_inverse_entry(self):
+        # t^1 of 1/(t; q)_inf is 1/(1 - q)
+        inv = identities._euler(1, 0, 0, 2, True, 2, q(3))
+        assert inv.entry(1) == LaurentSeries({0: 1, q(1): 1, q(2): 1,
+                                              q(3): 1}, q(3))
+
+    @given(st.sampled_from([2, 6]), st.integers(1, 3), st.integers(-1, 1),
+           st.integers(-6, 6), st.integers(0, 6), st.integers(0, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_direct_times_inverse_is_one(self, step, a, b, c, tcut, qcut):
+        # with c < 0 an entry at t^k starts at q^(kc/2), so the product
+        # is known through qcut only if both are built that much higher
+        work = qcut + max(0, -c) * tcut
+        direct = identities._euler(a, b, c, step, False, tcut, work)
+        inverse = identities._euler(a, b, c, step, True, tcut, work)
+        # every entry is known through the cutoff it was asked for
+        for side in (direct, inverse):
+            assert all(s.cutoff == work for s in side.entries.values())
+        prod = direct * inverse
+        prod = TrivariateSeries(prod.entries, t_cutoff=tcut, q_cutoff=qcut)
+        one = TrivariateSeries.one(t_cutoff=tcut, q_cutoff=qcut)
+        assert prod.first_mismatch(one) is None
+
+
+class TestRatios:
+    """The multinomial ratios, built one denominator factor at a time,
+    against long division by the whole Pochhammer product."""
+
+    def test_ratio4_matches_exact_divide(self):
+        for M in range(13):
+            for n in range(M // 2 + 1):
+                for m in range(M - 2 * n + 1):
+                    den = q_poch(m, 2) * q_poch(n, 6) * \
+                        q_poch(M - 2 * n - m, 6)
+                    assert identities._ratio4(M, m, n) == \
+                        exact_divide(q_poch(M, 6), den), (M, m, n)
+
+    def test_ratio3_is_ratio4_at_d_zero(self):
+        clear_caches()
+        for L in range(13):
+            for n in range(L // 2 + 1):
+                r = identities._ratio3(L, n)
+                assert r is identities._ratio4(L, L - 2 * n, n)
+                assert r == exact_divide(
+                    q_poch(L, 6), q_poch(L - 2 * n, 2) * q_poch(n, 6))
+
+    def test_out_of_range_is_zero(self):
+        assert identities._ratio3(4, -1).is_zero()
+        assert identities._ratio3(4, 3).is_zero()
+        for m, n in ((-1, 0), (0, -1), (5, 0), (0, 3)):
+            assert identities._ratio4(4, m, n).is_zero()
 
 
 class TestStabilization:

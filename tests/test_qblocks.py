@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtrin.series import LaurentSeries
-from qtrin.qblocks import (MonomialArg, Q, ZERO_ARG, gaussian_binomial,
-                           inv_poch_infinite, inv_poch_series, poch_finite,
-                           poch_infinite, q_poch)
+from qtrin.qblocks import (MonomialArg, Q, ZERO_ARG, div_poch,
+                           gaussian_binomial, inv_poch_infinite,
+                           inv_poch_series, poch_finite, poch_infinite,
+                           q_poch)
 
 
 def q(k):
@@ -93,6 +94,23 @@ class TestInvPochSeries:
         prod = inv_poch_series(n, step, c) * poch_finite(
             MonomialArg(1, step), step, n)
         assert prod.first_mismatch(LaurentSeries.one().truncate(c)) is None
+
+
+class TestDivPoch:
+    @given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([1, 2, 6]))
+    def test_exact_quotient(self, n, k, step):
+        # (q_s;q_s)_(n+k) / (q_s;q_s)_n = (q_s^(n+1);q_s)_k
+        want = poch_finite(MonomialArg(1, (n + 1) * step), step, k)
+        assert div_poch(q_poch(n + k, step), n, step) == want
+
+    def test_remainder_raises(self):
+        # (q;q)_2 / (q;q)_3 leaves 1/(1 - q^3)
+        with pytest.raises(ValueError):
+            div_poch(q_poch(2, 2), 3, 2)
+
+    def test_truncated_stops_at_cutoff(self):
+        assert div_poch(LaurentSeries.one().truncate(q(3)), 50, 2) == \
+            inv_poch_series(3, 2, q(3))
 
 
 class TestGaussianBinomial:
