@@ -448,8 +448,8 @@ def _qbin_lhs(p, c):
     term = LaurentSeries.one().truncate(c)
     for n in range(c // ze + 1):
         out = out + term.shift(n * ze).scale_coeffs(zs ** n)
-        term = term.truncate(c - (n + 1) * ze) * \
-            qblocks._one_minus(p["a_sign"], p["a_exp"] + 2 * n)
+        term = term.truncate(c - (n + 1) * ze).mul_one_minus(
+            p["a_sign"], p["a_exp"] + 2 * n)
         term = term.div_one_minus(1, 2 * (n + 1))
     return out
 
@@ -879,14 +879,25 @@ def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:
     start = time.monotonic()
     cw = q_cutoff + 4 * abs(n) * t_cutoff + 4 * t_cutoff + 4
 
-    lhs_entries: dict = {}
+    rts = {}
     for L in range(t_cutoff + 1):
         for j in range(-L, L + 1):
             rt = round_trinomial(TrinomialParams(L, j - n, j, step=2))
-            if rt.is_zero():
-                continue
-            need = cw - min(0, rt.min_exp())
-            lhs_entries[(L, j)] = inv_poch_series(L, 2, need) * rt
+            if not rt.is_zero():
+                rts[(L, j)] = rt
+    # 1/(q;q)_L carried across L, below one working cutoff that covers the
+    # lowest exponent of every round trinomial; each entry takes what it needs
+    inv = LaurentSeries.one().truncate(
+        cw - min([0] + [rt.min_exp() for rt in rts.values()]))
+    lhs_entries: dict = {}
+    for L in range(t_cutoff + 1):
+        if L:
+            inv = inv.div_one_minus(1, 2 * L)
+        for j in range(-L, L + 1):
+            if (L, j) in rts:
+                rt = rts[(L, j)]
+                need = cw - min(0, rt.min_exp())
+                lhs_entries[(L, j)] = inv.truncate(need) * rt
     lhs = TrivariateSeries(lhs_entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
 
     # (t^2 q^{-n}; q)_inf / ((t; q)_inf (t x^-1 q^-n; q)_inf (t x; q)_inf)

@@ -32,14 +32,6 @@ Q = MonomialArg(1, 2)          # the variable q itself
 ZERO_ARG = MonomialArg(0, 0)
 
 
-def _one_minus(sign: int, exp: int) -> LaurentSeries:
-    """The Pochhammer factor 1 - sign * q^(exp/2); at exp = 0 the two
-    terms add."""
-    terms = {0: 1}
-    terms[exp] = terms.get(exp, 0) - sign
-    return LaurentSeries(terms)
-
-
 def poch_finite(arg: MonomialArg, step: int, n: int) -> LaurentSeries:
     """(a; q_step)_n = prod_{k=0}^{n-1} (1 - a q_step^k), exact.
 
@@ -50,10 +42,8 @@ def poch_finite(arg: MonomialArg, step: int, n: int) -> LaurentSeries:
     if n < 0:
         raise ValueError("poch_finite needs n >= 0")
     out = LaurentSeries.one()
-    if arg.sign == 0:
-        return out
     for k in range(n):
-        out = out * _one_minus(arg.sign, arg.exp + k * step)
+        out = out.mul_one_minus(arg.sign, arg.exp + k * step)
     return out
 
 
@@ -74,7 +64,7 @@ def poch_infinite(arg: MonomialArg, step: int, cutoff: int) -> LaurentSeries:
     if arg.sign == 0:
         return out
     for e in range(arg.exp, cutoff + 1, step):
-        out = out * _one_minus(arg.sign, e)
+        out = out.mul_one_minus(arg.sign, e)
     return out
 
 
@@ -120,7 +110,7 @@ def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,
     k = min(bottom, top - bottom)
     last = k if out.cutoff is None else min(k, out.cutoff // step)
     for i in range(1, last + 1):
-        out = out * _one_minus(1, (top - k + i) * step)
+        out = out.mul_one_minus(1, (top - k + i) * step)
         out = out.div_one_minus(1, i * step)
     return out
 

@@ -140,6 +140,26 @@ class LaurentSeries:
                     del out[e]
         return LaurentSeries(out, cut)
 
+    def mul_one_minus(self, sign: int, exp: int) -> "LaurentSeries":
+        """Product with 1 - sign * q^(exp/2): the strided difference
+        r[n] = self[n] - sign * self[n - exp].  The same as multiplying by
+        that factor as a series: at exp = 0 the two terms add (to the
+        exact zero for sign = 1), and a truncated series stays known below
+        cutoff + min(exp, 0)."""
+        if sign == 0:
+            return self
+        if exp == 0:
+            return LaurentSeries.zero() if sign == 1 else self.scale_coeffs(2)
+        cut = None if self.cutoff is None else self.cutoff + min(exp, 0)
+        out = dict(self.terms)
+        for e, c in self.terms.items():
+            s = out.get(e + exp, 0) - sign * c
+            if s:
+                out[e + exp] = s
+            else:
+                del out[e + exp]
+        return LaurentSeries(out, cut)
+
     def div_one_minus(self, sign: int, exp: int) -> "LaurentSeries":
         """Quotient by 1 - sign * q^(exp/2), exp >= 1: the strided prefix
         sum r[n] = self[n] + sign * r[n - exp].  A truncated series keeps

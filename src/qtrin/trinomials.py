@@ -6,9 +6,10 @@
 * the refined, doubly bounded four-parameter family cal-T(L, M; a, b; q).
 
 The ``step`` fields are the base in half-exponent units (2 = q, 6 = q^3).
-Round-trinomial summands are evaluated as products of two Gaussian
-binomials, so everything stays inside exact polynomial arithmetic with no
-division.
+Each round-trinomial summand, a q-multinomial coefficient, is carried from
+the one before it by two factors 1 - q^k multiplied and two divided out;
+every partial product is a polynomial, so an exact division still checks
+for a remainder.
 """
 
 from __future__ import annotations
@@ -66,20 +67,37 @@ class RefinedTParams:
 
 def _round_sum(L: int, b: int, a: int, step: int,
                cutoff: Optional[int] = None) -> LaurentSeries:
-    out = LaurentSeries.zero(cutoff)
-    for n in range(0, (L - a) // 2 + 1 if L - a >= 0 else 0):
-        if n + a < 0 or L - 2 * n - a < 0:
-            continue
-        # summand n starts at its shift, as both binomials start at 1
-        sh = n * (n + b) * step
-        below = None if cutoff is None else cutoff - sh
-        if below is not None and below < 0:
-            continue
-        # (q)_L / ((q)_n (q)_{n+a} (q)_{L-2n-a}) = [L, n] * [L-n, n+a]
-        term = gaussian_binomial(L, n, step, cutoff=below) * \
-            gaussian_binomial(L - n, n + a, step, cutoff=below)
-        out = out + term.shift(sh)
-    return out
+    # Summand n is q^(n(n+b)) M_n, n0 <= n <= n1, with the multinomial
+    # M_n = (q)_L / ((q)_n (q)_{n+a} (q)_{L-2n-a}); the sum is built in base
+    # q^(1/2) (exponents of q_step) and rescaled once at the end.
+    n0, n1 = max(0, -a), (L - a) // 2
+    shifts = [n * (n + b) for n in range(n0, n1 + 1)]
+    top = None if cutoff is None else cutoff // step
+    if top is not None:
+        # the shifts are convex in n: past the last summand that starts
+        # below the cutoff, none does
+        while shifts and shifts[-1] > top:
+            shifts.pop()
+    if not shifts:
+        return LaurentSeries.zero(cutoff)
+    # M_n0 = [L, |a|], carried below the lowest cutoff any summand needs
+    m = gaussian_binomial(L, abs(a), 1,
+                          None if top is None else top - min(shifts))
+    out = LaurentSeries.zero(top)
+    for n, sh in enumerate(shifts, start=n0):
+        if n > n0:
+            # M_n = M_{n-1} (1-q^r)(1-q^(r-1)) / ((1-q^n)(1-q^(n+a))) with
+            # r = L-2n+2-a; every partial product is a multinomial, so an
+            # exact division still checks for a remainder
+            r = L - 2 * n + 2 - a
+            m = m.mul_one_minus(1, r).div_one_minus(1, n) \
+                .mul_one_minus(1, r - 1).div_one_minus(1, n + a)
+        if top is None or sh <= top:
+            # the sum's cutoff truncates each summand at top - sh
+            out = out + m.shift(sh)
+    # the exponents are multiples of step, so a sum known through q_step^top
+    # is known through the cutoff
+    return LaurentSeries(out.scale_exponents(step).terms, cutoff)
 
 
 @lru_cache(maxsize=None)

@@ -207,6 +207,36 @@ class TestDivOneMinus:
                     series.div_one_minus(sign, exp)
 
 
+def one_minus(sign, exp):
+    """The factor 1 - sign * q^(exp/2) as an exact series (at exp = 0 the
+    two terms add): the reference for multiplying by one factor."""
+    terms = {0: 1}
+    terms[exp] = terms.get(exp, 0) - sign
+    return S(terms)
+
+
+optional_cutoffs = st.one_of(st.none(), st.integers(-10, 40))
+
+
+class TestMulOneMinus:
+    @given(small_polys, signs, st.integers(-4, 8), optional_cutoffs)
+    def test_matches_product(self, p, sign, exp, cutoff):
+        t = p if cutoff is None else p.truncate(cutoff)
+        assert t.mul_one_minus(sign, exp) == t * one_minus(sign, exp)
+
+    def test_exponent_zero(self):
+        # 1 - q^0 is the zero polynomial, so even a truncated series goes to
+        # the exact zero; 1 + q^0 = 2
+        t = S({-2: 3, q(1): 1}, q(2))
+        assert t.mul_one_minus(1, 0) == LaurentSeries.zero()
+        assert t.mul_one_minus(-1, 0) == S({-2: 6, q(1): 2}, q(2))
+
+    def test_negative_exponent_lowers_cutoff(self):
+        # (1 + q)(1 - q^-1) = q - q^-1, known below q^3 - q^1
+        assert S({0: 1, q(1): 1}, q(3)).mul_one_minus(1, -q(1)) == \
+            S({-q(1): -1, q(1): 1}, q(2))
+
+
 class TestTrivariate:
     def test_one_and_entry(self):
         t = TrivariateSeries.one(t_cutoff=3, q_cutoff=10)

@@ -1,7 +1,8 @@
 """Tests for the three q-trinomial families."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qtrin.qblocks import gaussian_binomial
 from qtrin.series import LaurentSeries
 from qtrin.trinomials import (RefinedTParams, TParams, TrinomialParams,
                               refined_trinomial, round_trinomial,
@@ -76,6 +77,37 @@ class TestRoundTrinomial:
         p = round_trinomial(TrinomialParams(L, b, a))
         if not p.is_zero():
             assert p.min_exp() >= 0
+
+
+def two_binomial_round_sum(L, b, a, step, cutoff=None):
+    """(L, b; a; q_step)_2 with each summand the product of two Gaussian
+    binomials, [L, n] [L-n, n+a], each truncated below the summand's
+    cutoff: the reference for the carried summands."""
+    out = LaurentSeries.zero(cutoff)
+    for n in range(0, (L - a) // 2 + 1 if L - a >= 0 else 0):
+        if n + a < 0 or L - 2 * n - a < 0:
+            continue
+        sh = n * (n + b) * step
+        below = None if cutoff is None else cutoff - sh
+        if below is not None and below < 0:
+            continue
+        term = gaussian_binomial(L, n, step, cutoff=below) * \
+            gaussian_binomial(L - n, n + a, step, cutoff=below)
+        out = out + term.shift(sh)
+    return out
+
+
+class TestCarriedSummands:
+    @given(st.integers(0, 14), st.integers(-16, 16), st.integers(-3, 3),
+           st.sampled_from([1, 2, 3, 6]),
+           st.one_of(st.none(), st.integers(-40, 120)))
+    @example(9, 1, -3, 2, None)     # b < a: the lowest shift is at n = 1
+    @example(9, 1, -3, 2, -2)       # only summand 1 reaches below -2
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_binomial_products(self, L, a, d, step, cutoff):
+        b = a + d
+        got = round_trinomial(TrinomialParams(L, b, a, step), cutoff)
+        assert got == two_binomial_round_sum(L, b, a, step, cutoff)
 
 
 class TestTTrinomial:
