@@ -1,9 +1,9 @@
 """Exact verification engine for q-trinomial and q-series identities,
 with partition-enumeration cross-checks for the two Capparelli theorems.
 
-Everything is exact integer arithmetic over sparse Laurent polynomials /
-truncated power series in q^(1/2); see series.py for the exponent
-convention.
+Everything is exact integer arithmetic over Laurent polynomials /
+truncated power series in q^(1/2), stored as dense lists on strided
+exponent grids; see series.py for the layout and exponent convention.
 """
 
 from .series import LaurentSeries, TrivariateSeries, exact_divide

@@ -243,8 +243,8 @@ def cmd_coeffs(args, out) -> int:
     side = compute_side(inst, args.side)
     if not isinstance(side, LaurentSeries):
         raise UsageError(f"{inst.id} {args.side} is a series in (t, q), not q")
-    rows = [{"exponent_halves": e, "coefficient": side.terms[e]}
-            for e in sorted(side.terms)]
+    rows = [{"exponent_halves": e, "coefficient": c}
+            for e, c in sorted(side.terms.items())]
     if args.format == "json":
         out.write(json.dumps({"id": inst.id, "params": params,
                               "side": args.side,

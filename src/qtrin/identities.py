@@ -480,14 +480,14 @@ def _qexp_rhs(p, c):
 
 def _jtp_lhs(p, c):
     zs, ze = p["z_sign"], p["z_exp"]
-    out = LaurentSeries.zero(c)
+    terms: dict[int, int] = {}
     bound = int(math.isqrt(c)) + abs(ze) + 2
     for j in range(-bound, bound + 1):
         e = j * ze + 2 * j * j
         if e <= c:
-            coeff = zs if j % 2 else 1          # zs^j for zs in {-1, +1}
-            out = out + LaurentSeries({e: coeff}, c)
-    return out
+            # two values of j meet at one exponent when j + j' = -ze/2
+            terms[e] = terms.get(e, 0) + (zs if j % 2 else 1)   # zs^j
+    return LaurentSeries(terms, c)
 
 
 def _jtp_rhs(p, c):

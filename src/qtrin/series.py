@@ -6,14 +6,26 @@ occurs in the trinomial identities (q^{i^2/2}, q^{(3j^2+2j)/2}, ...)
 integral.  Coefficients are Python ints, i.e. arbitrary precision; there
 is no floating point anywhere in this package.
 
+A series is stored densely on a grid: a lowest exponent ``lo``, a stride
+and a list ``c`` with ``c[i]`` the coefficient of exponent ``lo + i *
+stride``.  Neither end of the list is zero, so the zero series is the
+empty list; a single term has stride 0.  The stride need not be the gcd
+of the exponents, so equal series may sit on different grids; equality
+and hashing do not depend on the grid.  Kernels are list operations on
+slices of these grids and build their results without re-filtering.
+
 A series is either exact (``cutoff is None``) or truncated above an
-inclusive upper bound ``cutoff``.  All objects are bounded below, so no
-Laurent-tail bookkeeping is needed.  Instances are immutable after
-construction and safe to share between workers.
+inclusive upper bound ``cutoff``, and stores no term above it.  All
+objects are bounded below, so no Laurent-tail bookkeeping is needed.
+Instances and their lists are immutable after construction and safe to
+share between workers.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, cycle
+from math import gcd
+from operator import add, mul, neg, sub
 from typing import Optional
 
 
@@ -25,54 +37,92 @@ def _min_cutoff(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-class LaurentSeries:
-    """Sparse map exponent -> coefficient, with an optional upper cutoff."""
+def _spread(c: list, k: int, p: int, n: int) -> list:
+    """A fresh list of n slots holding c at p, p + k, ... (all must fit)."""
+    out = [0] * n
+    out[p:p + k * len(c):k] = c
+    return out
 
-    __slots__ = ("terms", "cutoff")
+
+def _new(lo: int, stride: int, c: list, cutoff: Optional[int]
+         ) -> "LaurentSeries":
+    """A series from a list the caller owns, trimming zeros at its ends;
+    every entry must lie at or below the cutoff."""
+    while c and not c[-1]:
+        c.pop()
+    if c and not c[0]:
+        i = 1
+        while not c[i]:
+            i += 1
+        del c[:i]
+        lo += i * stride
+    out = object.__new__(LaurentSeries)
+    out._lo = lo if c else 0
+    out._stride = stride if len(c) > 1 else 0
+    out._c = c
+    out.cutoff = cutoff
+    return out
+
+
+class LaurentSeries:
+    """Coefficients on the exponent grid lo + i * stride, with an optional
+    upper cutoff."""
+
+    __slots__ = ("_lo", "_stride", "_c", "cutoff")
 
     def __init__(self, terms: Optional[dict[int, int]] = None,
                  cutoff: Optional[int] = None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if c != 0 and (cutoff is None or e <= cutoff):
-                    clean[e] = c
-        self.terms = clean
+        kept = {e: c for e, c in terms.items()
+                if c != 0 and (cutoff is None or e <= cutoff)} \
+            if terms else {}
+        lo = min(kept, default=0)
+        stride = gcd(*(e - lo for e in kept))
+        c = [0] * ((max(kept) - lo) // stride + 1 if stride else len(kept))
+        for e, x in kept.items():
+            c[(e - lo) // stride if stride else 0] = x
+        self._lo, self._stride, self._c = lo, stride, c
         self.cutoff = cutoff
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero(cutoff: Optional[int] = None) -> "LaurentSeries":
-        return LaurentSeries({}, cutoff)
+        return _new(0, 0, [], cutoff)
 
     @staticmethod
     def one() -> "LaurentSeries":
-        return LaurentSeries({0: 1})
+        return _new(0, 0, [1], None)
 
     @staticmethod
     def monomial(coeff: int, exp: int) -> "LaurentSeries":
         """coeff * q^(exp/2)."""
-        return LaurentSeries({exp: coeff})
+        return _new(exp, 0, [coeff], None)
 
     # -- predicates and access --------------------------------------------
+
+    @property
+    def terms(self) -> dict[int, int]:
+        """A fresh map exponent -> non-zero coefficient, in ascending
+        exponent order."""
+        lo, s = self._lo, self._stride
+        return {lo + i * s: x for i, x in enumerate(self._c) if x}
 
     @property
     def is_exact(self) -> bool:
         return self.cutoff is None
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._c
 
     def min_exp(self) -> int:
-        if not self.terms:
+        if not self._c:
             raise ValueError("zero series has no minimal exponent")
-        return min(self.terms)
+        return self._lo
 
     def max_exp(self) -> int:
-        if not self.terms:
+        if not self._c:
             raise ValueError("zero series has no maximal exponent")
-        return max(self.terms)
+        return self._lo + (len(self._c) - 1) * self._stride
 
     def coeff_at(self, exp: int) -> int:
         """Coefficient of q^(exp/2); querying above the cutoff is an error."""
@@ -80,33 +130,76 @@ class LaurentSeries:
             raise ValueError(
                 f"coefficient at exponent {exp} requested above cutoff "
                 f"{self.cutoff} (unknown region)")
-        return self.terms.get(exp, 0)
+        c, s = self._c, self._stride
+        if not c:
+            return 0
+        if not s:
+            return c[0] if exp == self._lo else 0
+        i, r = divmod(exp - self._lo, s)
+        return c[i] if r == 0 and 0 <= i < len(c) else 0
 
     def eval_at_one(self) -> int:
         """Sum of all coefficients, i.e. the value at q = 1."""
         if self.cutoff is not None:
             raise ValueError("eval_at_one needs an exact polynomial")
-        return sum(self.terms.values())
+        return sum(self._c)
+
+    def _upto(self, cut: Optional[int]) -> int:
+        """How many leading entries lie at or below cut."""
+        c = self._c
+        if cut is None or not c:
+            return len(c)
+        if cut < self._lo:
+            return 0
+        if not self._stride:
+            return 1
+        return min(len(c), (cut - self._lo) // self._stride + 1)
+
+    def _head(self, n: int, cut: Optional[int]) -> "LaurentSeries":
+        """The first n entries, known through cut."""
+        if n == len(self._c):
+            if cut == self.cutoff:
+                return self
+            return _new(self._lo, self._stride, self._c, cut)
+        return _new(self._lo, self._stride, self._c[:n], cut)
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+    def _combine(self, other: "LaurentSeries", op) -> "LaurentSeries":
+        """self op other for op in (add, sub), known through the tighter
+        cutoff, on the common grid gcd(stride_a, stride_b, lo_a - lo_b)."""
         cut = _min_cutoff(self.cutoff, other.cutoff)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return LaurentSeries(terms, cut)
+        na, nb = self._upto(cut), other._upto(cut)
+        if not nb:
+            return self._head(na, cut)
+        if not na:
+            b = other._head(nb, cut)
+            return b if op is add else -b
+        a, b = self._c, other._c
+        if na < len(a):
+            a = a[:na]
+        if nb < len(b):
+            b = b[:nb]
+        sa, sb = self._stride, other._stride
+        lo = min(self._lo, other._lo)
+        top = max(self._lo + (na - 1) * sa, other._lo + (nb - 1) * sb)
+        g = gcd(sa, sb, self._lo - other._lo) or 1
+        kb, pb = sb // g or 1, (other._lo - lo) // g
+        out = _spread(a, sa // g or 1, (self._lo - lo) // g,
+                      (top - lo) // g + 1)
+        stop = pb + kb * nb
+        out[pb:stop:kb] = map(op, out[pb:stop:kb], b)
+        return _new(lo, g, out, cut)
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._combine(other, add)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries({e: -c for e, c in self.terms.items()},
-                             self.cutoff)
+        return _new(self._lo, self._stride, list(map(neg, self._c)),
+                    self.cutoff)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         # A product is known only below the point where one factor's
@@ -114,31 +207,36 @@ class LaurentSeries:
         # Laurent factors the other operand's *lowest* exponent sets that
         # point, so the rule is min(cut_a + min_b, cut_b + min_a).
         bounds = []
-        if self.cutoff is not None and other.terms:
-            bounds.append(self.cutoff + min(other.terms))
-        if other.cutoff is not None and self.terms:
-            bounds.append(other.cutoff + min(self.terms))
+        if self.cutoff is not None and other._c:
+            bounds.append(self.cutoff + other._lo)
+        if other.cutoff is not None and self._c:
+            bounds.append(other.cutoff + self._lo)
         if self.cutoff is not None and other.cutoff is not None:
             bounds.append(self.cutoff + other.cutoff + 1)
         cut = min(bounds) if bounds else None
-        if not self.terms or not other.terms:
-            return LaurentSeries({}, cut)
-        # Convolve with the smaller operand on the outside.
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
+        if not self._c or not other._c:
+            return LaurentSeries.zero(cut)
+        # Convolve with the shorter operand on the outside: each of its
+        # entries adds a scaled row of the other, cut off at the cutoff.
+        a, b = self, other
+        if len(a._c) > len(b._c):
             a, b = b, a
-        out: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                if cut is not None and e > cut:
-                    continue
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentSeries(out, cut)
+        g = gcd(a._stride, b._stride) or 1
+        lo = a._lo + b._lo
+        n = (a.max_exp() + b.max_exp() - lo) // g + 1
+        if cut is not None:
+            n = min(n, (cut - lo) // g + 1)
+        ka, kb, row = a._stride // g or 1, b._stride // g or 1, b._c
+        out = [0] * max(n, 0)
+        for i, x in enumerate(a._c):
+            p = i * ka
+            if p >= n:
+                break
+            if x:
+                stop = p + kb * min(len(row), (n - 1 - p) // kb + 1)
+                # map stops with the shorter slice of out
+                out[p:stop:kb] = map(add, out[p:stop:kb], map(x.__mul__, row))
+        return _new(lo, g, out, cut)
 
     def mul_one_minus(self, sign: int, exp: int) -> "LaurentSeries":
         """Product with 1 - sign * q^(exp/2): the strided difference
@@ -150,74 +248,90 @@ class LaurentSeries:
             return self
         if exp == 0:
             return LaurentSeries.zero() if sign == 1 else self.scale_coeffs(2)
-        cut = None if self.cutoff is None else self.cutoff + min(exp, 0)
-        out = dict(self.terms)
-        for e, c in self.terms.items():
-            s = out.get(e + exp, 0) - sign * c
-            if s:
-                out[e + exp] = s
-            else:
-                del out[e + exp]
-        return LaurentSeries(out, cut)
+        return self._combine(self.shift(exp), sub if sign == 1 else add)
 
     def div_one_minus(self, sign: int, exp: int) -> "LaurentSeries":
         """Quotient by 1 - sign * q^(exp/2), exp >= 1: the strided prefix
-        sum r[n] = self[n] + sign * r[n - exp].  A truncated series keeps
-        its cutoff; an exact one must be a multiple, else the non-zero
-        remainder raises ValueError."""
+        sum r[n] = self[n] + sign * r[n - exp], one running sum per residue
+        class mod exp.  A truncated series keeps its cutoff; an exact one
+        must be a multiple, else the non-zero remainder raises
+        ValueError."""
         if exp < 1:
             raise ValueError("div_one_minus needs exp >= 1")
-        if sign == 0 or not self.terms:
+        if sign == 0 or not self._c:
             return self
-        top = max(self.terms) if self.cutoff is None else self.cutoff
-        out: dict[int, int] = {}
-        for n in range(min(self.terms), top + 1):
-            acc = self.terms.get(n, 0) + sign * out.get(n - exp, 0)
-            if acc:
-                out[n] = acc
-        if self.cutoff is None and out and max(out) > top - exp:
+        g = gcd(self._stride, exp)
+        d = exp // g
+        top = self.max_exp() if self.cutoff is None else self.cutoff
+        n = (top - self._lo) // g + 1
+        r = _spread(self._c, self._stride // g or 1, 0, n)
+        for j in range(min(d, n)):
+            if sign == 1:
+                r[j::d] = accumulate(r[j::d])
+            else:
+                # r[m] = x[m] - r[m-1] along the class is (-1)^m times the
+                # running sum of (-1)^m x[m]
+                r[j::d] = map(mul, accumulate(map(mul, r[j::d],
+                                                  cycle((1, -1)))),
+                              cycle((1, -1)))
+        if self.cutoff is None and any(r[max(n - d, 0):]):
             raise ValueError("non-zero remainder: not a multiple")
-        return LaurentSeries(out, self.cutoff)
+        return _new(self._lo, g, r, self.cutoff)
 
     def scale_coeffs(self, k: int) -> "LaurentSeries":
         if k == 0:
-            return LaurentSeries({}, self.cutoff)
-        return LaurentSeries({e: k * c for e, c in self.terms.items()},
-                             self.cutoff)
+            return LaurentSeries.zero(self.cutoff)
+        return _new(self._lo, self._stride, list(map(k.__mul__, self._c)),
+                    self.cutoff)
 
     def scale_exponents(self, k: int) -> "LaurentSeries":
         """Substitute q -> q^k (exponent map e -> k*e); k >= 1."""
         if k < 1:
             raise ValueError("scale_exponents needs k >= 1")
         cut = None if self.cutoff is None else k * self.cutoff
-        return LaurentSeries({k * e: c for e, c in self.terms.items()}, cut)
+        return _new(k * self._lo, k * self._stride, self._c, cut)
 
     def reverse_exponents(self) -> "LaurentSeries":
         """Substitute q -> 1/q.  Only defined for exact polynomials."""
         if self.cutoff is not None:
             raise ValueError("cannot reverse a truncated series")
-        return LaurentSeries({-e: c for e, c in self.terms.items()})
+        if not self._c:
+            return self
+        return _new(-self.max_exp(), self._stride, self._c[::-1], None)
 
     def shift(self, exp: int) -> "LaurentSeries":
         """Multiply by q^(exp/2)."""
         cut = None if self.cutoff is None else self.cutoff + exp
-        return LaurentSeries({e + exp: c for e, c in self.terms.items()}, cut)
+        return _new(self._lo + exp, self._stride, self._c, cut)
 
     def truncate(self, cutoff: int) -> "LaurentSeries":
         """Drop terms above cutoff and record it (never loosens a cutoff)."""
         cut = _min_cutoff(self.cutoff, cutoff)
-        return LaurentSeries({e: c for e, c in self.terms.items() if e <= cut},
-                             cut)
+        return self._head(self._upto(cut), cut)
+
+    def with_cutoff(self, cutoff: Optional[int]) -> "LaurentSeries":
+        """The same terms, known through ``cutoff`` (None: exact).  The
+        caller vouches for every coefficient between the two cutoffs, e.g.
+        a series in q^k known through k * c is known through k * c + k - 1."""
+        if cutoff is not None and self._c and self.max_exp() > cutoff:
+            raise ValueError(f"a term lies above the cutoff {cutoff}")
+        return _new(self._lo, self._stride, self._c, cutoff)
 
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self.terms == other.terms and self.cutoff == other.cutoff
+        if self.cutoff != other.cutoff or self._lo != other._lo:
+            return False
+        if self._stride == other._stride:
+            return self._c == other._c
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.cutoff))
+        # the non-zero coefficients in exponent order do not depend on the
+        # grid
+        return hash((self._lo, self.cutoff, tuple(filter(None, self._c))))
 
     def first_mismatch(self, other: "LaurentSeries"):
         """Lowest exponent where the two disagree, or None.
@@ -225,23 +339,19 @@ class LaurentSeries:
         Comparison runs up to the tighter of the two cutoffs (everywhere,
         if both are exact).  Returns (exponent, self_coeff, other_coeff).
         """
-        cut = _min_cutoff(self.cutoff, other.cutoff)
-        exps = set(self.terms) | set(other.terms)
-        if cut is not None:
-            exps = {e for e in exps if e <= cut}
-        for e in sorted(exps):
-            ca, cb = self.terms.get(e, 0), other.terms.get(e, 0)
-            if ca != cb:
-                return (e, ca, cb)
-        return None
+        diff = self - other
+        if diff.is_zero():
+            return None
+        e = diff._lo
+        return (e, self.coeff_at(e), other.coeff_at(e))
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             body = "0"
         else:
             parts = []
-            for e in sorted(self.terms):
-                c = self.terms[e]
+            for e, c in terms.items():
                 if e == 0:
                     parts.append(f"{c}")
                 elif e % 2 == 0:
@@ -265,10 +375,11 @@ def exact_divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentSeries.zero()
+    d_terms = den.terms
     d_lo = den.min_exp()
-    d_lead = den.terms[d_lo]
+    d_lead = d_terms[d_lo]
     deg_bound = num.max_exp() - den.max_exp()
-    rem = dict(num.terms)
+    rem = num.terms
     quot: dict[int, int] = {}
     while rem:
         e = min(rem)
@@ -280,7 +391,7 @@ def exact_divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
         if r != 0:
             raise ValueError("non-zero remainder: quotient is not a polynomial")
         quot[qe] = qc
-        for de, dc in den.terms.items():
+        for de, dc in d_terms.items():
             te = de + qe
             s = rem.get(te, 0) - dc * qc
             if s:

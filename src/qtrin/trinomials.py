@@ -97,7 +97,7 @@ def _round_sum(L: int, b: int, a: int, step: int,
             out = out + m.shift(sh)
     # the exponents are multiples of step, so a sum known through q_step^top
     # is known through the cutoff
-    return LaurentSeries(out.scale_exponents(step).terms, cutoff)
+    return out.scale_exponents(step).with_cutoff(cutoff)
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,166 @@
+"""Reference series kernels on a sparse dict exponent -> coefficient.
+
+These are the kernels ``LaurentSeries`` used before it stored dense
+strided coefficient lists, kept verbatim as an independent reference for
+the property tests in test_series.py.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+
+def _min_cutoff(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+class DictSeries:
+    """Sparse map exponent -> coefficient, with an optional upper cutoff."""
+
+    __slots__ = ("terms", "cutoff")
+
+    def __init__(self, terms: Optional[dict[int, int]] = None,
+                 cutoff: Optional[int] = None):
+        clean = {}
+        if terms:
+            for e, c in terms.items():
+                if c != 0 and (cutoff is None or e <= cutoff):
+                    clean[e] = c
+        self.terms = clean
+        self.cutoff = cutoff
+
+    @staticmethod
+    def zero(cutoff: Optional[int] = None) -> "DictSeries":
+        return DictSeries({}, cutoff)
+
+    def __add__(self, other: "DictSeries") -> "DictSeries":
+        cut = _min_cutoff(self.cutoff, other.cutoff)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e, 0) + c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+        return DictSeries(terms, cut)
+
+    def __mul__(self, other: "DictSeries") -> "DictSeries":
+        # A product is known only below the point where one factor's
+        # unknown region (above its cutoff) can first contribute.  With
+        # Laurent factors the other operand's *lowest* exponent sets that
+        # point, so the rule is min(cut_a + min_b, cut_b + min_a).
+        bounds = []
+        if self.cutoff is not None and other.terms:
+            bounds.append(self.cutoff + min(other.terms))
+        if other.cutoff is not None and self.terms:
+            bounds.append(other.cutoff + min(self.terms))
+        if self.cutoff is not None and other.cutoff is not None:
+            bounds.append(self.cutoff + other.cutoff + 1)
+        cut = min(bounds) if bounds else None
+        if not self.terms or not other.terms:
+            return DictSeries({}, cut)
+        # Convolve with the smaller operand on the outside.
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict[int, int] = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                if cut is not None and e > cut:
+                    continue
+                s = out.get(e, 0) + ca * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return DictSeries(out, cut)
+
+    def mul_one_minus(self, sign: int, exp: int) -> "DictSeries":
+        """Product with 1 - sign * q^(exp/2): the strided difference
+        r[n] = self[n] - sign * self[n - exp].  The same as multiplying by
+        that factor as a series: at exp = 0 the two terms add (to the
+        exact zero for sign = 1), and a truncated series stays known below
+        cutoff + min(exp, 0)."""
+        if sign == 0:
+            return self
+        if exp == 0:
+            return DictSeries.zero() if sign == 1 else self.scale_coeffs(2)
+        cut = None if self.cutoff is None else self.cutoff + min(exp, 0)
+        out = dict(self.terms)
+        for e, c in self.terms.items():
+            s = out.get(e + exp, 0) - sign * c
+            if s:
+                out[e + exp] = s
+            else:
+                del out[e + exp]
+        return DictSeries(out, cut)
+
+    def div_one_minus(self, sign: int, exp: int) -> "DictSeries":
+        """Quotient by 1 - sign * q^(exp/2), exp >= 1: the strided prefix
+        sum r[n] = self[n] + sign * r[n - exp].  A truncated series keeps
+        its cutoff; an exact one must be a multiple, else the non-zero
+        remainder raises ValueError."""
+        if exp < 1:
+            raise ValueError("div_one_minus needs exp >= 1")
+        if sign == 0 or not self.terms:
+            return self
+        top = max(self.terms) if self.cutoff is None else self.cutoff
+        out: dict[int, int] = {}
+        for n in range(min(self.terms), top + 1):
+            acc = self.terms.get(n, 0) + sign * out.get(n - exp, 0)
+            if acc:
+                out[n] = acc
+        if self.cutoff is None and out and max(out) > top - exp:
+            raise ValueError("non-zero remainder: not a multiple")
+        return DictSeries(out, self.cutoff)
+
+    def scale_coeffs(self, k: int) -> "DictSeries":
+        if k == 0:
+            return DictSeries({}, self.cutoff)
+        return DictSeries({e: k * c for e, c in self.terms.items()},
+                          self.cutoff)
+
+    def scale_exponents(self, k: int) -> "DictSeries":
+        """Substitute q -> q^k (exponent map e -> k*e); k >= 1."""
+        if k < 1:
+            raise ValueError("scale_exponents needs k >= 1")
+        cut = None if self.cutoff is None else k * self.cutoff
+        return DictSeries({k * e: c for e, c in self.terms.items()}, cut)
+
+    def reverse_exponents(self) -> "DictSeries":
+        """Substitute q -> 1/q.  Only defined for exact polynomials."""
+        if self.cutoff is not None:
+            raise ValueError("cannot reverse a truncated series")
+        return DictSeries({-e: c for e, c in self.terms.items()})
+
+    def shift(self, exp: int) -> "DictSeries":
+        """Multiply by q^(exp/2)."""
+        cut = None if self.cutoff is None else self.cutoff + exp
+        return DictSeries({e + exp: c for e, c in self.terms.items()}, cut)
+
+    def truncate(self, cutoff: int) -> "DictSeries":
+        """Drop terms above cutoff and record it (never loosens a cutoff)."""
+        cut = _min_cutoff(self.cutoff, cutoff)
+        return DictSeries({e: c for e, c in self.terms.items() if e <= cut},
+                          cut)
+
+    def first_mismatch(self, other: "DictSeries"):
+        """Lowest exponent where the two disagree, or None.
+
+        Comparison runs up to the tighter of the two cutoffs (everywhere,
+        if both are exact).  Returns (exponent, self_coeff, other_coeff).
+        """
+        cut = _min_cutoff(self.cutoff, other.cutoff)
+        exps = set(self.terms) | set(other.terms)
+        if cut is not None:
+            exps = {e for e in exps if e <= cut}
+        for e in sorted(exps):
+            ca, cb = self.terms.get(e, 0), other.terms.get(e, 0)
+            if ca != cb:
+                return (e, ca, cb)
+        return None

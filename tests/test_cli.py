@@ -268,6 +268,27 @@ class TestCoeffs:
                   for r in payload["coefficients"]}
         assert by_exp[12] == 2    # q^6
 
+    def test_exact_text_output_is_pinned(self):
+        code, text = run(["coeffs", "--id", "poch_reversal", "--param",
+                          "n=3", "--side", "LHS", "--format", "text"])
+        assert (code, text) == (0, "      q^-6  -1\n      q^-5  1\n"
+                                   "      q^-4  1\n      q^-2  -1\n"
+                                   "      q^-1  -1\n       q^0  1\n")
+
+    def test_truncated_json_output_is_pinned(self):
+        code, text = run(["coeffs", "--id", "jtp", "--param", "z_sign=-1",
+                          "--param", "z_exp=1", "--side", "LHS",
+                          "--cutoff", "13", "--format", "json"])
+        assert code == 0
+        assert text == (
+            '{"coefficients": [{"coefficient": 1, "exponent_halves": 0}, '
+            '{"coefficient": -1, "exponent_halves": 1}, '
+            '{"coefficient": -1, "exponent_halves": 3}, '
+            '{"coefficient": 1, "exponent_halves": 6}, '
+            '{"coefficient": 1, "exponent_halves": 10}], '
+            '"cutoff_halves": 13, "id": "jtp", '
+            '"params": {"z_exp": 1, "z_sign": -1}, "side": "LHS"}\n')
+
     def test_needs_cutoff_for_truncated(self):
         code, _ = run(["coeffs", "--id", "kr1", "--side", "LHS"])
         assert code == 2

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from qtrin.series import LaurentSeries, TrivariateSeries, exact_divide
 
+from dict_series import DictSeries
+
 
 def S(terms, cutoff=None):
     return LaurentSeries(terms, cutoff)
@@ -265,3 +267,136 @@ class TestTrivariate:
             short.first_mismatch(full)
         with pytest.raises(ValueError):
             full.first_mismatch(short)
+
+
+# -- the dense strided kernels against the dict reference -------------------
+
+@st.composite
+def strided_terms(draw):
+    """Terms on the grid offset + stride * k, stride in {1, 2, 3, 6}."""
+    stride = draw(st.sampled_from([1, 2, 3, 6]))
+    offset = draw(st.integers(-6, 6))
+    ks = draw(st.dictionaries(st.integers(-4, 8), st.integers(-9, 9),
+                              max_size=8))
+    return {offset + stride * k: c for k, c in ks.items()}
+
+
+@st.composite
+def pairs(draw, cutoffs=optional_cutoffs):
+    """The same series as a LaurentSeries and as the DictSeries reference."""
+    terms, cutoff = draw(strided_terms()), draw(cutoffs)
+    return LaurentSeries(terms, cutoff), DictSeries(terms, cutoff)
+
+
+def assert_canonical(s):
+    terms = s.terms
+    assert all(c != 0 for c in terms.values())
+    assert list(terms) == sorted(terms)
+    if terms:
+        assert (s.min_exp(), s.max_exp()) == (min(terms), max(terms))
+        if s.cutoff is not None:
+            assert s.max_exp() <= s.cutoff
+    # equality and hashing do not depend on the grid a kernel left
+    rebuilt = LaurentSeries(terms, s.cutoff)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+
+
+def same(got, want):
+    """got agrees with the reference and is in canonical form: no zero
+    coefficient, nothing stored above its cutoff."""
+    assert_canonical(got)
+    assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
+
+
+def both(op, *args):
+    """op applied to the dict reference: its result, or the error type."""
+    try:
+        return op(*args)
+    except ValueError as e:
+        return type(e)
+
+
+class TestAgainstDictReference:
+    @given(pairs(), pairs())
+    def test_add_sub(self, a, b):
+        same(a[0] + b[0], a[1] + b[1])
+        same(a[0] - b[0], a[1] + b[1].scale_coeffs(-1))
+
+    @given(pairs(), pairs())
+    def test_mul(self, a, b):
+        same(a[0] * b[0], a[1] * b[1])
+
+    @given(pairs(), signs, st.integers(-8, 8))
+    def test_mul_one_minus(self, a, sign, exp):
+        same(a[0].mul_one_minus(sign, exp), a[1].mul_one_minus(sign, exp))
+
+    @given(pairs(), signs, st.integers(-2, 9))
+    def test_div_one_minus(self, a, sign, exp):
+        want = both(DictSeries.div_one_minus, a[1], sign, exp)
+        if isinstance(want, DictSeries):
+            same(a[0].div_one_minus(sign, exp), want)
+        else:
+            with pytest.raises(want):
+                a[0].div_one_minus(sign, exp)
+
+    @given(pairs(st.none()), st.sampled_from([-1, 1]), st.integers(1, 9),
+           st.integers(-12, 12), st.integers(1, 9))
+    def test_div_one_minus_exact_multiples(self, a, sign, exp, e, c):
+        # a multiple divides back; a monomial added to it leaves a remainder
+        num = (a[0].mul_one_minus(sign, exp), a[1].mul_one_minus(sign, exp))
+        same(num[0].div_one_minus(sign, exp), num[1].div_one_minus(sign, exp))
+        assert num[0].div_one_minus(sign, exp) == a[0]
+        off = (num[0] + LaurentSeries({e: c}), num[1] + DictSeries({e: c}))
+        for s in off:
+            with pytest.raises(ValueError, match="non-zero remainder"):
+                s.div_one_minus(sign, exp)
+
+    @given(pairs(), st.integers(-10, 10), st.integers(-30, 60))
+    def test_shift_truncate(self, a, exp, cutoff):
+        same(a[0].shift(exp), a[1].shift(exp))
+        same(a[0].truncate(cutoff), a[1].truncate(cutoff))
+
+    @given(pairs(), st.integers(-1, 4))
+    def test_scale_and_reverse_exponents(self, a, k):
+        for name, args in (("scale_exponents", (k,)),
+                           ("reverse_exponents", ())):
+            want = both(getattr(DictSeries, name), a[1], *args)
+            if isinstance(want, DictSeries):
+                same(getattr(a[0], name)(*args), want)
+            else:
+                with pytest.raises(want):
+                    getattr(a[0], name)(*args)
+
+    @given(pairs(), pairs(), st.integers(0, 40))
+    def test_first_mismatch(self, a, b, k):
+        # c agrees with a below min(b) + k, on a grid that may be finer
+        c = (a[0] + b[0].shift(k), a[1] + b[1].shift(k))
+        for x in (a, b, c):
+            for y in (a, b, c):
+                assert x[0].first_mismatch(y[0]) == x[1].first_mismatch(y[1])
+
+
+class TestCanonicalForm:
+    def test_cancellation_to_a_coarser_grid(self):
+        half = S({0: 1, 1: 1}) - S({1: 1})         # (1 + q^(1/2)) - q^(1/2)
+        assert half == LaurentSeries.one()
+        assert hash(half) == hash(LaurentSeries.one())
+        six = S({0: 1, 6: 1})                      # stride 6
+        two = S({2: 1, 4: 1, 6: 1})                # stride 2
+        mixed = six + two - S({2: 1, 4: 1})        # cancels to stride 6
+        assert mixed == S({0: 1, 6: 2}) and mixed.terms == {0: 1, 6: 2}
+        assert hash(mixed) == hash(S({0: 1, 6: 2}))
+        assert mixed != S({0: 1, 6: 2}, 6)
+
+    def test_zero_from_cancellation(self):
+        p = S({-3: 2, 0: 1, 6: 5}, 9)
+        assert (p - p) == LaurentSeries.zero(9)
+        assert hash(p - p) == hash(LaurentSeries.zero(9))
+        assert (p - p).terms == {}
+
+    def test_with_cutoff(self):
+        # a series in q^3 known through q^(6/2) is known through q^(8/2)
+        p = S({0: 1, 3: 1}, 3).scale_exponents(2)
+        assert p.cutoff == 6 and p.with_cutoff(7) == S({0: 1, 6: 1}, 7)
+        with pytest.raises(ValueError):
+            p.with_cutoff(5)
