@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 all checks matched, 1 at least one mismatch, 2 invalid
 invocation.  Reports stream record-by-record in parameter order, so
 output is deterministic regardless of the worker pool size (set with
-``--jobs`` or the QTRIN_JOBS environment variable).
+``--jobs`` or the QTRIN_JOBS environment variable, read at each call; a
+size below 1 is invalid).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import os
 import sys
@@ -148,13 +150,19 @@ def _cutoff_halves(args) -> Optional[int]:
     return None
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("QTRIN_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 1
-    return max(jobs, 1)
+def _jobs(args) -> int:
+    """``--jobs``, else QTRIN_JOBS as set at this call, else 1."""
+    jobs, source = args.jobs, "--jobs"
+    if jobs is None:
+        raw, source = os.environ.get("QTRIN_JOBS", "1"), "QTRIN_JOBS"
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise UsageError(f"QTRIN_JOBS must be an integer, "
+                             f"got {raw!r}") from None
+    if jobs < 1:
+        raise UsageError(f"{source} must be at least 1, got {jobs}")
+    return jobs
 
 
 def _instances_for_sweep(id: str, ranges: list[tuple[str, list[int]]],
@@ -229,11 +237,12 @@ def cmd_verify(args, out) -> int:
 def cmd_sweep(args, out) -> int:
     if not args.range:
         raise UsageError("sweep needs at least one --range name=lo..hi")
+    jobs = _jobs(args)
     ranges = [_parse_range(r) for r in args.range]
     fixed = dict(_parse_assignment(p) for p in args.param or [])
     insts = _instances_for_sweep(args.id, ranges, fixed,
                                  _cutoff_halves(args))
-    return _run_instances(insts, args.jobs, args.format, out)
+    return _run_instances(insts, jobs, args.format, out)
 
 
 def cmd_coeffs(args, out) -> int:
@@ -306,7 +315,10 @@ def cmd_suite(args, out) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.  Nothing in it depends on
+    the environment: ``cmd_sweep`` reads QTRIN_JOBS at each call."""
     top = argparse.ArgumentParser(
         prog="qtrin",
         description="exact verification of q-trinomial and q-series "
@@ -333,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--id", required=True, choices=identity_ids())
     ps.add_argument("--range", action="append", metavar="NAME=LO..HI",
                     help="swept parameter (repeatable)")
-    ps.add_argument("--jobs", type=int, default=_default_jobs(),
+    ps.add_argument("--jobs", type=int,
                     help="worker pool size (default: QTRIN_JOBS or 1)")
     add_common(ps)
 

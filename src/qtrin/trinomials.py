@@ -105,15 +105,24 @@ def _round_trinomial(L: int, b: int, a: int, step: int) -> LaurentSeries:
     return _round_sum(L, b, a, step)
 
 
+def _exact_round(L: int, b: int, a: int, step: int) -> LaurentSeries:
+    # n -> n - a gives (L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, so a < 0
+    # is read from the cached a >= 0 entry
+    if a >= 0:
+        return _round_trinomial(L, b, a, step)
+    return _round_trinomial(L, b - 2 * a, -a, step).shift(a * (a - b) * step)
+
+
 def round_trinomial(p: TrinomialParams,
                     cutoff: Optional[int] = None) -> LaurentSeries:
     """The round q-trinomial coefficient (L, b; a; q_step)_2.
 
-    Exact and cached when ``cutoff`` is None; otherwise equal to the exact
-    value truncated at ``cutoff``, built only below it and not cached.
+    Exact and cached when ``cutoff`` is None, one entry per pair a, -a;
+    otherwise equal to the exact value truncated at ``cutoff``, built only
+    below it and not cached.
     """
     if cutoff is None:
-        return _round_trinomial(p.L, p.b, p.a, p.step)
+        return _exact_round(p.L, p.b, p.a, p.step)
     return _round_sum(p.L, p.b, p.a, p.step, cutoff)
 
 
@@ -122,7 +131,7 @@ def t_trinomial(p: TParams) -> LaurentSeries:
 
     T_n(L,a;q) = q^{(L(L-n) - a(a-n))/2} * (L, a-n; a; 1/q)_2.
     """
-    base = _round_trinomial(p.L, p.a - p.n, p.a, p.step).reverse_exponents()
+    base = _exact_round(p.L, p.a - p.n, p.a, p.step).reverse_exponents()
     pre = (p.L * (p.L - p.n) - p.a * (p.a - p.n)) * p.step
     if pre % 2 != 0:
         raise ValueError("prefactor exponent is not a half-integer multiple")

@@ -215,6 +215,75 @@ class TestPoolSize:
         assert code == 0
         assert pools == []
 
+    def test_env_read_at_each_call(self, pools, monkeypatch):
+        # the parser is built once per process, here while QTRIN_JOBS
+        # is 2; the value is not captured in it
+        argv = ["sweep", "--id", "thm71", "--range", "M=0..8"]
+        monkeypatch.setenv("QTRIN_JOBS", "2")
+        cli.build_parser.cache_clear()
+        assert run(argv)[0] == 0
+        monkeypatch.setenv("QTRIN_JOBS", "3")
+        assert run(argv)[0] == 0
+        monkeypatch.delenv("QTRIN_JOBS")
+        assert run(argv)[0] == 0
+        assert pools == [2, 3]
+
+    def test_flag_overrides_env(self, pools, monkeypatch):
+        monkeypatch.setenv("QTRIN_JOBS", "abc")
+        code, _ = run(["sweep", "--id", "thm71", "--range", "M=0..8",
+                       "--jobs", "3"])
+        assert code == 0
+        assert pools == [3]
+
+
+class TestBadJobs:
+    """A job count below 1, from ``--jobs`` or QTRIN_JOBS, or a
+    QTRIN_JOBS that is not an integer, is invalid usage."""
+
+    ARGV = ["sweep", "--id", "thm71", "--range", "M=0..3"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_flag_below_one(self, jobs, capsys):
+        assert run(self.ARGV + ["--jobs", jobs]) == (2, "")
+        assert capsys.readouterr().err == \
+            f"error: --jobs must be at least 1, got {jobs}\n"
+
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "QTRIN_JOBS must be an integer, got 'abc'"),
+        ("", "QTRIN_JOBS must be an integer, got ''"),
+        ("-2", "QTRIN_JOBS must be at least 1, got -2"),
+        ("0", "QTRIN_JOBS must be at least 1, got 0"),
+    ])
+    def test_env(self, raw, message, monkeypatch, capsys):
+        monkeypatch.setenv("QTRIN_JOBS", raw)
+        assert run(self.ARGV) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call in a process."""
+
+    VALID = ["sweep", "--id", "thm71", "--range", "M=0..2"]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ["sweep", "--id", "thm71", "--range", "M=0..2", "--bogus"],
+        ["sweep", "--id", "thm71", "--range", "M=0..2", "--jobs", "0"],
+        ["sweep", "--id", "bogus", "--range", "M=0..2"],
+        ["verify", "--id", "kr1"],
+    ])
+    def test_valid_call_after_bad_usage(self, bad):
+        _, want = run(self.VALID)
+        assert run(bad)[0] == 2
+        code, text = run(self.VALID)
+        assert code == 0
+        records = json.loads(text)
+        assert [r["params"] for r in records] == [{"M": m} for m in range(3)]
+        assert all(r["match"] for r in records)
+        assert strip_timing(text) == strip_timing(want)
+
 
 class TestEmitReport:
     """Emitting a whole report through ``ReportWriter``."""

@@ -2,10 +2,11 @@
 
 from hypothesis import example, given, settings, strategies as st
 
+from qtrin.identities import cache_sizes, clear_caches
 from qtrin.qblocks import gaussian_binomial
 from qtrin.series import LaurentSeries
 from qtrin.trinomials import (RefinedTParams, TParams, TrinomialParams,
-                              refined_trinomial, round_trinomial,
+                              _round_sum, refined_trinomial, round_trinomial,
                               t_trinomial)
 
 
@@ -58,13 +59,30 @@ class TestRoundTrinomial:
         assert round_trinomial(TrinomialParams(L, b, a)).eval_at_one() == \
             round_trinomial(TrinomialParams(L, b, -a)).eval_at_one()
 
-    @given(st.integers(0, 6), st.integers(-3, 3), st.integers(-6, 6))
-    def test_exact_symmetry(self, L, b, a):
+    @given(st.integers(0, 8), st.integers(-6, -1), st.integers(-8, 8),
+           st.sampled_from([1, 2, 3, 6]))
+    @example(6, -2, -4, 2)          # b < a: terms below q^0
+    def test_exact_symmetry(self, L, a, d, step):
+        # an exact build at a < 0 is read from the (L, b-2a; -a) entry;
+        # compare it with the sum over its own summands
+        b = a + d
+        direct = _round_sum(L, b, a, step)
+        assert round_trinomial(TrinomialParams(L, b, a, step)) == direct
         # (L, b; a) = q^{a(a-b)} (L, b-2a; -a) in the trinomial's base
-        lhs = round_trinomial(TrinomialParams(L, b, a))
-        rhs = round_trinomial(
-            TrinomialParams(L, b - 2 * a, -a)).shift(a * (a - b) * 2)
-        assert lhs == rhs
+        assert direct == _round_sum(L, b - 2 * a, -a, step).shift(
+            a * (a - b) * step)
+
+    def test_sign_pair_shares_one_cache_entry(self):
+        clear_caches()
+        L, b, a = 7, 1, 2
+        round_trinomial(TrinomialParams(L, b, a))
+        round_trinomial(TrinomialParams(L, b - 2 * a, -a))
+        assert cache_sizes()["_round_trinomial"] == 1
+        # T_n(L, a) and T_n(L, -a) reverse the same entry
+        clear_caches()
+        t_trinomial(TParams(1, L, a))
+        t_trinomial(TParams(1, L, -a))
+        assert cache_sizes()["_round_trinomial"] == 1
 
     @given(st.integers(0, 6), st.integers(-3, 3), st.integers(-6, 6))
     def test_positive_coefficients(self, L, b, a):
