@@ -123,6 +123,16 @@ def _parse_assignment(text: str) -> tuple[str, int]:
                          f"got {value!r}") from None
 
 
+def _parse_params(args) -> dict[str, int]:
+    params: dict[str, int] = {}
+    for text in args.param or []:
+        name, value = _parse_assignment(text)
+        if name in params:
+            raise UsageError(f"duplicate --param {name!r}")
+        params[name] = value
+    return params
+
+
 def _parse_range(text: str) -> tuple[str, list[int]]:
     name, sep, value = text.partition("=")
     if not sep or not name:
@@ -173,6 +183,10 @@ def _instances_for_sweep(id: str, ranges: list[tuple[str, list[int]]],
     names = [n for n, _ in ranges]
     if len(set(names)) != len(names):
         raise UsageError("duplicate --range name")
+    both = sorted(set(names) & set(fixed))
+    if both:
+        raise UsageError(f"given as both --range and --param: "
+                         f"{', '.join(both)}")
     insts = []
 
     def expand(i, acc):
@@ -229,7 +243,7 @@ def _run_instances(instances, jobs: int, fmt: str, out) -> int:
 # subcommands
 
 def cmd_verify(args, out) -> int:
-    params = dict(_parse_assignment(p) for p in args.param or [])
+    params = _parse_params(args)
     inst = IdentityInstance(args.id, params, _cutoff_halves(args))
     return _run_instances([inst], 1, args.format, out)
 
@@ -239,14 +253,14 @@ def cmd_sweep(args, out) -> int:
         raise UsageError("sweep needs at least one --range name=lo..hi")
     jobs = _jobs(args)
     ranges = [_parse_range(r) for r in args.range]
-    fixed = dict(_parse_assignment(p) for p in args.param or [])
+    fixed = _parse_params(args)
     insts = _instances_for_sweep(args.id, ranges, fixed,
                                  _cutoff_halves(args))
     return _run_instances(insts, jobs, args.format, out)
 
 
 def cmd_coeffs(args, out) -> int:
-    params = dict(_parse_assignment(p) for p in args.param or [])
+    params = _parse_params(args)
     inst = IdentityInstance(args.id, params, _cutoff_halves(args))
     _validate([inst])
     side = compute_side(inst, args.side)

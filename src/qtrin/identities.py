@@ -102,14 +102,20 @@ _CACHES = {"q_poch": qblocks.q_poch,
 
 
 def cache_sizes() -> dict[str, int]:
-    """Number of entries each exact-path cache holds."""
-    return {name: fn.cache_info().currsize for name, fn in _CACHES.items()}
+    """Number of entries each exact-path cache holds, and the rows of
+    round trinomials kept with the entries across them."""
+    sizes = {name: fn.cache_info().currsize for name, fn in _CACHES.items()}
+    sizes["round_rows"], sizes["round_row_entries"] = \
+        trinomials._ROWS.sizes()
+    return sizes
 
 
 def clear_caches() -> None:
-    """Empty every exact-path cache; they are unbounded otherwise."""
+    """Empty every exact-path cache and the round-trinomial rows; they
+    are unbounded otherwise."""
     for fn in _CACHES.values():
         fn.cache_clear()
+    trinomials._ROWS.clear()
 
 
 def _rt3(L: int, b: int, a: int, shift: int = 0,

@@ -6,12 +6,29 @@
 * the refined, doubly bounded four-parameter family cal-T(L, M; a, b; q).
 
 The ``step`` fields are the base in half-exponent units (2 = q, 6 = q^3).
-Each round-trinomial summand, a q-multinomial coefficient, is carried from
-the one before it by two factors 1 - q^k multiplied and two divided out;
-every partial product is a polynomial, so an exact division still checks
-for a remainder.
-"""
 
+Exact round trinomials are built one row L at a time from row L - 1 by
+the q-multinomial Pascal rule behind the Andrews--Baxter recurrences.
+With d = b - a and a >= 0:
+
+    d <= 0:  (L, b; a)_2 = q^(1+b) (L-1, b+2; a+1)_2 + (L-1, b+1; a)_2
+                           + q^(L-a) (L-1, b-1; a-1)_2
+    d >= 1:  (L, b; a)_2 = (L-1, b; a)_2 + q^(L+b-a-1) (L-1, b; a+1)_2
+                           + q^(L-a) (L-1, b-1; a-1)_2
+
+from (0, b; a)_2 = [a = 0].  An entry with a > L is 0, and one with
+a < 0 is folded by (L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, which keeps
+d.  Rows do not depend on the step: q and q^3 read the same row through
+``scale_exponents``.  A row is kept only when a caller asked for it; the
+rows built on the way are dropped.  The rule only adds shifted entries,
+so the exact path has no division and no remainder check: its
+correctness rests on the tests against sums of products of Gaussian
+binomials.
+
+A truncated round trinomial is built from its summands instead: each, a
+q-multinomial coefficient, is carried from the one before it by two
+factors 1 - q^k multiplied and two divided out, below the cutoff.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -66,33 +83,30 @@ class RefinedTParams:
 
 
 def _round_sum(L: int, b: int, a: int, step: int,
-               cutoff: Optional[int] = None) -> LaurentSeries:
+               cutoff: int) -> LaurentSeries:
     # Summand n is q^(n(n+b)) M_n, n0 <= n <= n1, with the multinomial
     # M_n = (q)_L / ((q)_n (q)_{n+a} (q)_{L-2n-a}); the sum is built in base
     # q^(1/2) (exponents of q_step) and rescaled once at the end.
     n0, n1 = max(0, -a), (L - a) // 2
     shifts = [n * (n + b) for n in range(n0, n1 + 1)]
-    top = None if cutoff is None else cutoff // step
-    if top is not None:
-        # the shifts are convex in n: past the last summand that starts
-        # below the cutoff, none does
-        while shifts and shifts[-1] > top:
-            shifts.pop()
+    top = cutoff // step
+    # the shifts are convex in n: past the last summand that starts below
+    # the cutoff, none does
+    while shifts and shifts[-1] > top:
+        shifts.pop()
     if not shifts:
         return LaurentSeries.zero(cutoff)
     # M_n0 = [L, |a|], carried below the lowest cutoff any summand needs
-    m = gaussian_binomial(L, abs(a), 1,
-                          None if top is None else top - min(shifts))
+    m = gaussian_binomial(L, abs(a), 1, top - min(shifts))
     out = LaurentSeries.zero(top)
     for n, sh in enumerate(shifts, start=n0):
         if n > n0:
             # M_n = M_{n-1} (1-q^r)(1-q^(r-1)) / ((1-q^n)(1-q^(n+a))) with
-            # r = L-2n+2-a; every partial product is a multinomial, so an
-            # exact division still checks for a remainder
+            # r = L-2n+2-a
             r = L - 2 * n + 2 - a
             m = m.mul_one_minus(1, r).div_one_minus(1, n) \
                 .mul_one_minus(1, r - 1).div_one_minus(1, n + a)
-        if top is None or sh <= top:
+        if sh <= top:
             # the sum's cutoff truncates each summand at top - sh
             out = out + m.shift(sh)
     # the exponents are multiples of step, so a sum known through q_step^top
@@ -100,9 +114,85 @@ def _round_sum(L: int, b: int, a: int, step: int,
     return out.scale_exponents(step).with_cutoff(cutoff)
 
 
+def _next_row(k: int, prev: dict) -> dict:
+    """Row k from row k - 1 by the rule in the module docstring, over the
+    same window of d.  A row maps d to the entries (k, a + d; a)_2,
+    a = 0..k, with exponent e standing for q_step^e."""
+    zero = LaurentSeries.zero()
+
+    def at(d: int, a: int) -> LaurentSeries:
+        return prev[d][a] if a < k else zero
+
+    row = {}
+    for d in prev:
+        out = []
+        for a in range(k + 1):
+            # q^(k-a) (k-1, b-1; a-1)_2, folded at a = 0 to
+            # q^(k+d) (k-1, d+1; 1)_2
+            low = at(d, a - 1).shift(k - a) if a else at(d, 1).shift(k + d)
+            if d <= 0:
+                out.append(at(d + 1, a + 1).shift(1 + a + d)
+                           + at(d + 1, a) + low)
+            else:
+                out.append(at(d, a) + at(d - 1, a + 1).shift(k + d - 1)
+                           + low)
+        row[d] = out
+    return row
+
+
+class _RowStore:
+    """Rows of exact round trinomials, kept only where a caller asked.
+
+    Row L holds every d of a window [lo, hi] with lo <= 0 < hi.  Entry d
+    needs d and d + 1 (d <= 0) or d - 1 and d (d >= 1) of the row below,
+    so such a window is closed: a row is built over it in a loop from the
+    highest kept row that covers it, or from row 0."""
+
+    def __init__(self):
+        self._rows: dict[int, dict] = {}
+
+    def entry(self, L: int, d: int, a: int) -> LaurentSeries:
+        """(L, a + d; a)_2 for 0 <= a <= L, exponent e standing for
+        q_step^e."""
+        row = self._rows.get(L)
+        if row is None or d not in row:
+            self._build(L, min([d, 0, *(row or ())]),
+                        max([d, 1, *(row or ())]))
+            row = self._rows[L]
+        return row[d][a]
+
+    def _build(self, L: int, lo: int, hi: int) -> None:
+        start = max((k for k, r in self._rows.items()
+                     if k < L and lo in r and hi in r), default=None)
+        if start is None:
+            start, row = 0, {d: [LaurentSeries.one()]
+                             for d in range(lo, hi + 1)}
+        else:
+            row = {d: self._rows[start][d] for d in range(lo, hi + 1)}
+        for k in range(start + 1, L + 1):
+            row = _next_row(k, row)
+        # entries already handed out stay the ones kept, so that a wider
+        # rebuild holds no second copy of them
+        self._rows[L] = {**row, **self._rows.get(L, {})}
+
+    def clear(self) -> None:
+        self._rows.clear()
+
+    def sizes(self) -> tuple[int, int]:
+        """Rows kept, and entries across them."""
+        return len(self._rows), sum(len(r) * (L + 1)
+                                    for L, r in self._rows.items())
+
+
+_ROWS = _RowStore()
+
+
 @lru_cache(maxsize=None)
 def _round_trinomial(L: int, b: int, a: int, step: int) -> LaurentSeries:
-    return _round_sum(L, b, a, step)
+    # a >= 0 here, and (L, b; a)_2 = 0 for a > L, past every row entry
+    if a > L:
+        return LaurentSeries.zero()
+    return _ROWS.entry(L, b - a, a).scale_exponents(step)
 
 
 def _exact_round(L: int, b: int, a: int, step: int) -> LaurentSeries:

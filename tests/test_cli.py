@@ -58,6 +58,11 @@ class TestVerify:
         code, _ = run(["verify", "--id", "bogus", "--param", "L=1"])
         assert code == 2
 
+    def test_duplicate_param_exits_2(self, capsys):
+        argv = ["verify", "--id", "thm71", "--param", "M=1", "--param", "M=3"]
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == "error: duplicate --param 'M'\n"
+
     def test_mismatch_exits_1(self, monkeypatch):
         def fake_verify(inst):
             return VerificationReport(inst, False, (4, 1, 2), 0)
@@ -165,6 +170,13 @@ class TestSweep:
     def test_bad_range_syntax(self):
         code, _ = run(["sweep", "--id", "thm71", "--range", "M=5..1"])
         assert code == 2
+
+    def test_param_also_swept_exits_2(self, capsys):
+        argv = ["sweep", "--id", "thm71", "--range", "M=0..2",
+                "--param", "M=5"]
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: given as both --range and --param: M\n"
 
 
 class TestPoolSize:

@@ -6,8 +6,7 @@ from qtrin.identities import cache_sizes, clear_caches
 from qtrin.qblocks import gaussian_binomial
 from qtrin.series import LaurentSeries
 from qtrin.trinomials import (RefinedTParams, TParams, TrinomialParams,
-                              _round_sum, refined_trinomial, round_trinomial,
-                              t_trinomial)
+                              refined_trinomial, round_trinomial, t_trinomial)
 
 
 def q(k):
@@ -66,10 +65,10 @@ class TestRoundTrinomial:
         # an exact build at a < 0 is read from the (L, b-2a; -a) entry;
         # compare it with the sum over its own summands
         b = a + d
-        direct = _round_sum(L, b, a, step)
+        direct = two_binomial_round_sum(L, b, a, step)
         assert round_trinomial(TrinomialParams(L, b, a, step)) == direct
         # (L, b; a) = q^{a(a-b)} (L, b-2a; -a) in the trinomial's base
-        assert direct == _round_sum(L, b - 2 * a, -a, step).shift(
+        assert direct == two_binomial_round_sum(L, b - 2 * a, -a, step).shift(
             a * (a - b) * step)
 
     def test_sign_pair_shares_one_cache_entry(self):
@@ -83,6 +82,14 @@ class TestRoundTrinomial:
         t_trinomial(TParams(1, L, a))
         t_trinomial(TParams(1, L, -a))
         assert cache_sizes()["_round_trinomial"] == 1
+
+    def test_cold_request_keeps_one_row(self):
+        clear_caches()
+        round_trinomial(TrinomialParams(30, 1, 0))
+        # rows 1..29 were built on the way and dropped; row 30 holds the
+        # window d = 0, 1
+        assert cache_sizes()["round_rows"] == 1
+        assert cache_sizes()["round_row_entries"] == 2 * 31
 
     @given(st.integers(0, 6), st.integers(-3, 3), st.integers(-6, 6))
     def test_positive_coefficients(self, L, b, a):
@@ -126,6 +133,38 @@ class TestCarriedSummands:
         b = a + d
         got = round_trinomial(TrinomialParams(L, b, a, step), cutoff)
         assert got == two_binomial_round_sum(L, b, a, step, cutoff)
+
+
+class TestRows:
+    """Exact values built row by row against the sum of products of
+    Gaussian binomials."""
+
+    def test_matches_two_binomial_products(self):
+        clear_caches()
+        for L in range(15):
+            for a in range(-L - 1, L + 2):
+                for d in range(-6, 7):
+                    # in base q^(1/2), rescaled to each step
+                    ref = two_binomial_round_sum(L, a + d, a, 1)
+                    for step in (1, 2, 3, 6):
+                        got = round_trinomial(
+                            TrinomialParams(L, a + d, a, step))
+                        assert got == ref.scale_exponents(step), \
+                            (L, a + d, a, step)
+
+    @given(st.lists(st.tuples(st.integers(0, 14), st.integers(-15, 15),
+                              st.integers(-6, 6),
+                              st.sampled_from([1, 2, 3, 6])),
+                    min_size=1, max_size=8))
+    # descending L, then a wider window at a row already kept
+    @example([(12, 1, 1, 2), (5, 0, 0, 6), (12, -2, -4, 2), (3, 2, 1, 1)])
+    @settings(max_examples=40, deadline=None)
+    def test_any_request_order(self, requests):
+        # values must not depend on which rows earlier requests left kept
+        clear_caches()
+        for L, a, d, step in requests:
+            got = round_trinomial(TrinomialParams(L, a + d, a, step))
+            assert got == two_binomial_round_sum(L, a + d, a, step)
 
 
 class TestTTrinomial:
