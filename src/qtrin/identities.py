@@ -156,16 +156,16 @@ def _double_sum(shift_fn: Callable[[int, int], int], cutoff: int) -> LaurentSeri
 
 def _cap_product_first(cutoff: int) -> LaurentSeries:
     """(-q^2, -q^4; q^6)_inf (-q^3; q^3)_inf truncated."""
-    return poch_infinite(MonomialArg(-1, 4), 12, cutoff) * \
-        poch_infinite(MonomialArg(-1, 8), 12, cutoff) * \
-        poch_infinite(MonomialArg(-1, 6), 6, cutoff)
+    out = poch_infinite(MonomialArg(-1, 4), 12, cutoff)
+    out = poch_infinite(MonomialArg(-1, 8), 12, cutoff, out)
+    return poch_infinite(MonomialArg(-1, 6), 6, cutoff, out)
 
 
 def _cap_product_second(cutoff: int) -> LaurentSeries:
     """(-q, -q^5; q^6)_inf (-q^3; q^3)_inf truncated."""
-    return poch_infinite(MonomialArg(-1, 2), 12, cutoff) * \
-        poch_infinite(MonomialArg(-1, 10), 12, cutoff) * \
-        poch_infinite(MonomialArg(-1, 6), 6, cutoff)
+    out = poch_infinite(MonomialArg(-1, 2), 12, cutoff)
+    out = poch_infinite(MonomialArg(-1, 10), 12, cutoff, out)
+    return poch_infinite(MonomialArg(-1, 6), 6, cutoff, out)
 
 
 def _binom2(x: int) -> int:
@@ -464,7 +464,8 @@ def _qbin_rhs(p, c):
     a = MonomialArg(p["a_sign"], p["a_exp"])
     zs, ze = p["z_sign"], p["z_exp"]
     az = MonomialArg(a.sign * zs, a.exp + ze) if a.sign != 0 else MonomialArg(0)
-    return poch_infinite(az, 2, c) * inv_poch_infinite(MonomialArg(zs, ze), 2, c)
+    return inv_poch_infinite(MonomialArg(zs, ze), 2, c,
+                             poch_infinite(az, 2, c))
 
 
 def _qexp_lhs(p, c):
@@ -498,9 +499,9 @@ def _jtp_lhs(p, c):
 
 def _jtp_rhs(p, c):
     zs, ze = p["z_sign"], p["z_exp"]
-    return poch_infinite(MonomialArg(1, 4), 4, c) * \
-        poch_infinite(MonomialArg(-zs, 2 + ze), 4, c) * \
-        poch_infinite(MonomialArg(-zs, 2 - ze), 4, c)
+    out = poch_infinite(MonomialArg(1, 4), 4, c)
+    out = poch_infinite(MonomialArg(-zs, 2 + ze), 4, c, out)
+    return poch_infinite(MonomialArg(-zs, 2 - ze), 4, c, out)
 
 
 def _poch_reversal_lhs(p, c):

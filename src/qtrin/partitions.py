@@ -84,17 +84,24 @@ def _gap_ok(lower: int, upper: int) -> bool:
 
 
 def _difference_column(n_max: int, v: CapparelliVariant) -> list[int]:
-    """difference_side_count(n, v) for n = 0..n_max; ends[s][p] counts the
-    partitions of s that obey the conditions and have largest part p."""
-    ends = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    """difference_side_count(n, v) for n = 0..n_max; sums[s][p], p <= s,
+    counts the non-empty partitions of s that obey the conditions and have
+    largest part at most p.  Every part q <= p - 4 may sit below p, so
+    that part of the count is one prefix sum; only q = p - 3 and q = p - 2
+    are checked against the gap condition."""
+    sums = [[0]]
     for s in range(1, n_max + 1):
+        row, acc = [0], 0
         for p in range(1, s + 1):
             if p != v.excluded_part:
-                below = ends[s - p]
-                ends[s][p] = (s == p) + sum(
-                    below[q] for q in range(1, min(p - 1, s - p + 1))
-                    if _gap_ok(q, p))
-    return [1] + [sum(row) for row in ends[1:]]
+                below = sums[s - p]           # its largest part is <= s - p
+                acc += (s == p) + below[max(min(p - 4, s - p), 0)]
+                for q in range(max(p - 3, 1), min(p - 1, s - p + 1)):
+                    if _gap_ok(q, p):
+                        acc += below[q] - below[q - 1]
+            row.append(acc)
+        sums.append(row)
+    return [1] + [row[-1] for row in sums[1:]]
 
 
 def difference_side_count(n: int, v: CapparelliVariant) -> int:

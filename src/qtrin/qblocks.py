@@ -6,6 +6,12 @@ step=6 means base q^3 and so on.
 
 Arguments of Pochhammer symbols are signed monomials a = sign * q^(exp/2)
 with sign in {-1, 0, +1}; sign 0 encodes a = 0.
+
+Every symbol is built one factor 1 - a q_step^k at a time with
+``LaurentSeries.mul_one_minus`` or ``div_one_minus``.  The infinite ones
+take an optional series ``out`` and multiply or divide it by each factor
+in turn, so a truncated product of several symbols is one series carried
+through all of their factors, never a dense product of two of them.
 """
 
 from __future__ import annotations
@@ -53,29 +59,39 @@ def q_poch(n: int, step: int) -> LaurentSeries:
     return poch_finite(MonomialArg(1, step), step, n)
 
 
-def poch_infinite(arg: MonomialArg, step: int, cutoff: int) -> LaurentSeries:
-    """(a; q_step)_infinity truncated at cutoff (half-units).
+def _infinite_factors(arg: MonomialArg, step: int, cutoff: int,
+                      out: Optional[LaurentSeries]):
+    """out truncated at cutoff (1 if None), and the exponents of the
+    factors of (a; q_step)_infinity that can reach a term it keeps: those
+    at most its cutoff minus its lowest exponent, if that is negative."""
+    if arg.sign != 0 and arg.exp <= 0:
+        raise ValueError("infinite product diverges: argument exponent <= 0")
+    out = (LaurentSeries.one() if out is None else out).truncate(cutoff)
+    if arg.sign == 0 or out.is_zero():
+        return out, ()
+    top = out.cutoff - min(0, out.min_exp())
+    return out, range(arg.exp, top + 1, step)
+
+
+def poch_infinite(arg: MonomialArg, step: int, cutoff: int,
+                  out: Optional[LaurentSeries] = None) -> LaurentSeries:
+    """out * (a; q_step)_infinity truncated at cutoff (half-units), one
+    factor at a time; out defaults to 1.
 
     Formal convergence requires arg.exp > 0 when the argument is nonzero.
     """
-    if arg.sign != 0 and arg.exp <= 0:
-        raise ValueError("infinite product diverges: argument exponent <= 0")
-    out = LaurentSeries.one().truncate(cutoff)
-    if arg.sign == 0:
-        return out
-    for e in range(arg.exp, cutoff + 1, step):
+    out, exps = _infinite_factors(arg, step, cutoff, out)
+    for e in exps:
         out = out.mul_one_minus(arg.sign, e)
     return out
 
 
-def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int) -> LaurentSeries:
-    """1 / (a; q_step)_infinity truncated at cutoff, exact below it."""
-    if arg.sign != 0 and arg.exp <= 0:
-        raise ValueError("infinite product diverges: argument exponent <= 0")
-    out = LaurentSeries.one().truncate(cutoff)
-    if arg.sign == 0:
-        return out
-    for e in range(arg.exp, cutoff + 1, step):
+def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int,
+                      out: Optional[LaurentSeries] = None) -> LaurentSeries:
+    """out / (a; q_step)_infinity truncated at cutoff, exact below it, one
+    factor at a time; out defaults to 1."""
+    out, exps = _infinite_factors(arg, step, cutoff, out)
+    for e in exps:
         out = out.div_one_minus(arg.sign, e)
     return out
 

@@ -248,14 +248,30 @@ class LaurentSeries:
             return self
         if exp == 0:
             return LaurentSeries.zero() if sign == 1 else self.scale_coeffs(2)
-        return self._combine(self.shift(exp), sub if sign == 1 else add)
+        if exp < 0:
+            # x (1 - s q^e) = -s q^e x (1 - s q^-e)
+            out = self.mul_one_minus(sign, -exp).shift(exp)
+            return -out if sign == 1 else out
+        if not self._c:
+            return self
+        # on the grid gcd(stride, exp) the factor moves every entry d slots
+        g = gcd(self._stride, exp)
+        d = exp // g
+        n = (self.max_exp() - self._lo) // g + 1 + d
+        if self.cutoff is not None:
+            n = min(n, (self.cutoff - self._lo) // g + 1)
+        r = _spread(self._c, self._stride // g or 1, 0, n)
+        # both slices are copies, so each entry takes the old one d back
+        r[d:] = map(sub if sign == 1 else add, r[d:], r[:n - d])
+        return _new(self._lo, g, r, self.cutoff)
 
     def div_one_minus(self, sign: int, exp: int) -> "LaurentSeries":
         """Quotient by 1 - sign * q^(exp/2), exp >= 1: the strided prefix
-        sum r[n] = self[n] + sign * r[n - exp], one running sum per residue
-        class mod exp.  A truncated series keeps its cutoff; an exact one
-        must be a multiple, else the non-zero remainder raises
-        ValueError."""
+        sum r[n] = self[n] + sign * r[n - exp].  With n slots on the grid
+        and exp d slots apart, it runs block by block (n / d steps) when
+        d * d > n, else one running sum per residue class (d steps).  A
+        truncated series keeps its cutoff; an exact one must be a
+        multiple, else the non-zero remainder raises ValueError."""
         if exp < 1:
             raise ValueError("div_one_minus needs exp >= 1")
         if sign == 0 or not self._c:
@@ -265,10 +281,16 @@ class LaurentSeries:
         top = self.max_exp() if self.cutoff is None else self.cutoff
         n = (top - self._lo) // g + 1
         r = _spread(self._c, self._stride // g or 1, 0, n)
-        for j in range(min(d, n)):
-            if sign == 1:
+        if d * d > n:
+            op = add if sign == 1 else sub
+            for k in range(d, n, d):
+                # map stops with the shorter slice at the end of r
+                r[k:k + d] = map(op, r[k:k + d], r[k - d:k])
+        elif sign == 1:
+            for j in range(d):
                 r[j::d] = accumulate(r[j::d])
-            else:
+        else:
+            for j in range(d):
                 # r[m] = x[m] - r[m-1] along the class is (-1)^m times the
                 # running sum of (-1)^m x[m]
                 r[j::d] = map(mul, accumulate(map(mul, r[j::d],

@@ -4,10 +4,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtrin.partitions import (FIRST, SECOND, VARIANTS, Partition,
-                              capparelli_chain, congruence_side_count,
-                              difference_side_count,
+                              _difference_column, _gap_ok, capparelli_chain,
+                              congruence_side_count, difference_side_count,
                               difference_side_partitions,
                               doublesum_coefficients, product_coefficients)
+
+
+def cubic_difference_column(n_max, v):
+    """The gap-condition column as a cubic DP, kept as the reference for
+    the prefix-sum one; ends[s][p] counts the partitions of s that obey
+    the conditions and have largest part p."""
+    ends = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    for s in range(1, n_max + 1):
+        for p in range(1, s + 1):
+            if p != v.excluded_part:
+                below = ends[s - p]
+                ends[s][p] = (s == p) + sum(
+                    below[q] for q in range(1, min(p - 1, s - p + 1))
+                    if _gap_ok(q, p))
+    return [1] + [sum(row) for row in ends[1:]]
 
 
 class TestCongruenceSide:
@@ -48,6 +63,13 @@ class TestDifferenceSide:
             for n in range(18):
                 assert difference_side_count(n, v) == \
                     len(difference_side_partitions(n, v))
+
+    @pytest.mark.parametrize("name", ["first", "second"])
+    def test_column_matches_cubic_reference(self, name):
+        v = VARIANTS[name]
+        want = cubic_difference_column(150, v)
+        for n_max in list(range(12)) + [49, 150]:
+            assert _difference_column(n_max, v) == want[:n_max + 1]
 
     @given(st.integers(0, 24), st.sampled_from(["first", "second"]))
     @settings(max_examples=30, deadline=None)

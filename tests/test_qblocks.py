@@ -75,6 +75,58 @@ class TestPochInfinite:
         assert prod.first_mismatch(LaurentSeries.one().truncate(c)) is None
 
 
+# every (argument, step) of an infinite product in the registry
+REGISTRY_FACTORS = [
+    # kr1 and outlook2: (-q^2, -q^4; q^6)_inf (-q^3; q^3)_inf
+    (MonomialArg(-1, 4), 12), (MonomialArg(-1, 8), 12), (MonomialArg(-1, 6), 6),
+    # cap2 and outlook2: (-q, -q^5; q^6)_inf
+    (MonomialArg(-1, 2), 12), (MonomialArg(-1, 10), 12),
+    # jtp: (q^2, -z q, -q/z; q^2)_inf for z = +-q^(e/2), e in {-1, 0, 1}
+    (MonomialArg(1, 4), 4),
+    *[(MonomialArg(s, 2 + e), 4) for s in (-1, 1) for e in (-1, 0, 1)],
+    # q_binomial_theorem and q_exponential: z, a z and -z in base q
+    *[(MonomialArg(s, e), 2) for s in (-1, 1) for e in (1, 2, 3, 4, 6)],
+    (ZERO_ARG, 2),
+    # limit targets
+    (MonomialArg(1, 2), 6), (MonomialArg(1, 4), 6),
+]
+
+CHAIN_OUTS = [
+    None,
+    LaurentSeries({0: 1, q(3): -2, q(50): 5}),
+    LaurentSeries({0: 3, q(1): 1, q(9): -1}, q(40)),
+    # negative exponents: the factors up to cutoff - min(out) reach the
+    # terms kept, so a loop that stops at the cutoff leaves them wrong
+    LaurentSeries({-q(30): 1, -5: -2, q(2): 1}),
+    LaurentSeries({-q(3): 2, q(1): -1}, q(20)),
+]
+
+
+class TestChainedProducts:
+    @pytest.mark.parametrize("arg,step", REGISTRY_FACTORS)
+    @pytest.mark.parametrize("cutoff", [0, 1, 7, 80, 401])
+    def test_out_times_product(self, arg, step, cutoff):
+        for out in CHAIN_OUTS:
+            t = LaurentSeries.one().truncate(cutoff) if out is None \
+                else out.truncate(cutoff)
+            # the reference product reaches cutoff - min(out), which keeps
+            # the cutoff of out: the chained product is known that far
+            reach = cutoff - min(0, t.min_exp())
+            assert poch_infinite(arg, step, cutoff, out) == \
+                t * poch_infinite(arg, step, reach)
+            assert inv_poch_infinite(arg, step, cutoff, out) == \
+                t * inv_poch_infinite(arg, step, reach)
+
+    def test_zero_out(self):
+        zero = LaurentSeries.zero(q(5))
+        assert poch_infinite(Q, 2, q(9), zero) == zero
+        assert inv_poch_infinite(Q, 2, q(3), zero) == LaurentSeries.zero(q(3))
+
+    def test_divergent_rejected_with_out(self):
+        with pytest.raises(ValueError):
+            inv_poch_infinite(MonomialArg(1, 0), 2, 10, LaurentSeries.one())
+
+
 class TestInvPochSeries:
     def test_negative_length_is_zero(self):
         assert inv_poch_series(-1, 2, q(5)).is_zero()

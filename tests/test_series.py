@@ -1,7 +1,7 @@
 """Unit and property tests for the exact series kernel."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qtrin.series import LaurentSeries, TrivariateSeries, exact_divide
 
@@ -282,10 +282,32 @@ def strided_terms(draw):
 
 
 @st.composite
-def pairs(draw, cutoffs=optional_cutoffs):
+def long_terms(draw):
+    """Up to 60 slots of the grid offset + stride * k, stride in {0, 1, 2,
+    3, 6}; stride 0 is a single term."""
+    stride = draw(st.sampled_from([0, 1, 2, 3, 6]))
+    offset = draw(st.integers(-12, 12))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)),
+                           max_size=60 if stride else 1))
+    return {offset + stride * k: c for k, c in enumerate(coeffs)}
+
+
+def pair(terms, cutoff=None):
     """The same series as a LaurentSeries and as the DictSeries reference."""
-    terms, cutoff = draw(strided_terms()), draw(cutoffs)
     return LaurentSeries(terms, cutoff), DictSeries(terms, cutoff)
+
+
+@st.composite
+def pairs(draw, cutoffs=optional_cutoffs, terms=strided_terms()):
+    return pair(draw(terms), draw(cutoffs))
+
+
+# series long enough for div_one_minus to run both of its loops: per
+# residue class when d * d <= n, per block of d slots when d * d > n (n
+# slots on the grid, the factor d slots apart)
+long_pairs = pairs(st.one_of(st.none(), st.integers(-20, 200)), long_terms())
+long_exact_pairs = pairs(st.none(), long_terms())
+DENSE = {k: k % 7 - 3 for k in range(45)}     # 45 slots of stride 1
 
 
 def assert_canonical(s):
@@ -326,11 +348,16 @@ class TestAgainstDictReference:
     def test_mul(self, a, b):
         same(a[0] * b[0], a[1] * b[1])
 
-    @given(pairs(), signs, st.integers(-8, 8))
+    @given(long_pairs, signs, st.integers(-40, 40))
+    @example(pair(DENSE, 30), 1, -17)
+    @example(pair(DENSE), -1, -40)
     def test_mul_one_minus(self, a, sign, exp):
         same(a[0].mul_one_minus(sign, exp), a[1].mul_one_minus(sign, exp))
 
-    @given(pairs(), signs, st.integers(-2, 9))
+    @given(long_pairs, signs, st.integers(-2, 40))
+    @example(pair(DENSE, 50), -1, 3)      # per class: n = 51, d = 3
+    @example(pair(DENSE, 50), 1, 17)      # per block: n = 51, d = 17
+    @example(pair(DENSE, 50), -1, 40)     # per block, one step
     def test_div_one_minus(self, a, sign, exp):
         want = both(DictSeries.div_one_minus, a[1], sign, exp)
         if isinstance(want, DictSeries):
@@ -339,8 +366,10 @@ class TestAgainstDictReference:
             with pytest.raises(want):
                 a[0].div_one_minus(sign, exp)
 
-    @given(pairs(st.none()), st.sampled_from([-1, 1]), st.integers(1, 9),
-           st.integers(-12, 12), st.integers(1, 9))
+    @given(long_exact_pairs, st.sampled_from([-1, 1]), st.integers(1, 40),
+           st.integers(-12, 60), st.integers(1, 9))
+    @example(pair(DENSE), -1, 2, 50, 4)   # per class: n = 47, d = 2
+    @example(pair(DENSE), 1, 31, -3, 1)   # per block: n = 76, d = 31
     def test_div_one_minus_exact_multiples(self, a, sign, exp, e, c):
         # a multiple divides back; a monomial added to it leaves a remainder
         num = (a[0].mul_one_minus(sign, exp), a[1].mul_one_minus(sign, exp))
