@@ -176,15 +176,46 @@ def _binom2(x: int) -> int:
 # ---------------------------------------------------------------------------
 # side builders, one pair per identity id
 
-def _first_pair_lhs(p, c):
-    L = p["L"]
+def _ratio3_sum(L: int, sign: int, *exps: Callable[[int], int]
+                ) -> LaurentSeries:
+    """sum_n sign^n (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n) q^(e(n)/2),
+    one term for each exponent e in ``exps`` (half-units)."""
     out = LaurentSeries.zero()
     for n in range(L // 2 + 1):
-        r = _ratio3(L, n)
-        s = r.shift(3 * n * n + n).scale_coeffs((-1) ** n)
-        s2 = r.shift(3 * n * n - n + 4 * L + 2).scale_coeffs((-1) ** n)
-        out = out + s + s2
+        r = _ratio3(L, n) if sign ** n > 0 else -_ratio3(L, n)
+        out = sum((r.shift(e(n)) for e in exps), out)
     return out
+
+
+def _mn_sum(M: int, term: Callable[[int, int], LaurentSeries],
+            *exps: Callable[[int, int], int]) -> LaurentSeries:
+    """sum over m, n >= 0 with m + 2n <= M of term(m, n) q^(e(m, n)/2),
+    one term for each exponent e in ``exps`` (half-units)."""
+    out = LaurentSeries.zero()
+    for n in range(M // 2 + 1):
+        for m in range(M - 2 * n + 1):
+            t = term(m, n)
+            out = sum((t.shift(e(m, n)) for e in exps), out)
+    return out
+
+
+def _ratio4_sum(M: int, *exps: Callable[[int, int], int]) -> LaurentSeries:
+    return _mn_sum(M, lambda m, n: _ratio4(M, m, n), *exps)
+
+
+def _fincap_term(N: int, k: int) -> Callable[[int, int], LaurentSeries]:
+    """(m, n) -> [3d+k, m] [2d+n+k/2, n]_{q^3}, d = N - 2n - m."""
+    def term(m, n):
+        d = N - 2 * n - m
+        return gaussian_binomial(3 * d + k, m) * \
+            gaussian_binomial(2 * d + n + k // 2, n, 6)
+    return term
+
+
+def _first_pair_lhs(p, c):
+    L = p["L"]
+    return _ratio3_sum(L, -1, lambda n: 3 * n * n + n,
+                       lambda n: 3 * n * n - n + 4 * L + 2)
 
 
 def _first_pair_rhs(p, c):
@@ -199,88 +230,59 @@ def _first_pair_rhs(p, c):
 
 
 def _second_pair_lhs(p, c):
-    L = p["L"]
-    out = LaurentSeries.zero()
-    for n in range(L // 2 + 1):
-        out = out + _ratio3(L, n).shift(3 * n * n - n).scale_coeffs((-1) ** n)
-    return out
+    return _ratio3_sum(p["L"], -1, lambda n: 3 * n * n - n)
 
 
 def _second_pair_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero(c)
-    for j in range(-L, L + 1):
-        out = out + _rt3(L, j - 1, j, 2 * (2 * L - j), c)
-    return out
+    return sum((_rt3(L, j - 1, j, 2 * (2 * L - j), c)
+                for j in range(-L, L + 1)), LaurentSeries.zero(c))
 
 
 def _third_pair_lhs(p, c):
-    L = p["L"]
-    out = LaurentSeries.zero()
-    for n in range(L // 2 + 1):
-        out = out + _ratio3(L, n).shift(3 * n * n + n).scale_coeffs((-1) ** n)
-    return out
+    return _ratio3_sum(p["L"], -1, lambda n: 3 * n * n + n)
 
 
 def _third_pair_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero(c)
-    for j in range(-L, L + 1):
-        out = out + _rt3(L, j, j, 2 * (L - j), c)
-    return out
+    return sum((_rt3(L, j, j, 2 * (L - j), c) for j in range(-L, L + 1)),
+               LaurentSeries.zero(c))
 
 
 def _first_pair_dual_lhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
-    for n in range(L // 2 + 1):
-        r = _ratio3(L, n)
-        out = out + r.shift(2 * _binom2(L - 2 * n))
-        out = out + r.shift(2 * (_binom2(L - 2 * n + 1) + n) + 2 * (L + 1))
-    return out
+    return _ratio3_sum(L, 1, lambda n: 2 * _binom2(L - 2 * n),
+                       lambda n: 2 * (_binom2(L - 2 * n + 1) + n + L + 1))
 
 
 def _first_pair_dual_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
     # support of the reversed trinomials forces |j| <= L + 1; the sum has
     # genuine contributions at negative j
-    for j in range(-L - 2, L + 2):
-        combo = _t3(-1, L, j) + _t3(-1, L, j + 1)
-        out = out + combo.shift(3 * j * j + j)
-    return out
+    return sum(((_t3(-1, L, j) + _t3(-1, L, j + 1)).shift(3 * j * j + j)
+                for j in range(-L - 2, L + 2)), LaurentSeries.zero())
 
 
 def _second_pair_dual_lhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
-    for n in range(L // 2 + 1):
-        out = out + _ratio3(L, n).shift(2 * _binom2(L - 2 * n))
-    return out
+    return _ratio3_sum(L, 1, lambda n: 2 * _binom2(L - 2 * n))
 
 
 def _second_pair_dual_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
-    for j in range(-L, L + 1):
-        out = out + _t3(1, L, j).shift(3 * j * j - j)
-    return out
+    return sum((_t3(1, L, j).shift(3 * j * j - j) for j in range(-L, L + 1)),
+               LaurentSeries.zero())
 
 
 def _third_pair_dual_lhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
-    for n in range(L // 2 + 1):
-        out = out + _ratio3(L, n).shift((L - 2 * n) ** 2)
-    return out
+    return _ratio3_sum(L, 1, lambda n: (L - 2 * n) ** 2)
 
 
 def _third_pair_dual_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero()
-    for j in range(-L, L + 1):
-        out = out + _t3(0, L, j).shift(3 * j * j + 2 * j)
-    return out
+    return sum((_t3(0, L, j).shift(3 * j * j + 2 * j)
+                for j in range(-L, L + 1)), LaurentSeries.zero())
 
 
 def _t_sum_sides(kind: int):
@@ -297,7 +299,7 @@ def _t_sum_sides(kind: int):
 def _bmo_lhs(p, c):
     L, a = p["L"], p["a"]
     combo = t_trinomial(TParams(-1, L, a)) + t_trinomial(TParams(-1, L, a + 1))
-    return combo * LaurentSeries({0: 1, 2 * (L + 1): -1})
+    return combo.mul_one_minus(1, 2 * (L + 1))
 
 
 def _bmo_rhs(p, c):
@@ -308,59 +310,42 @@ def _bmo_rhs(p, c):
 
 def _binom_shift_lhs(p, c):
     L, i = p["L"], p["i"]
-    return gaussian_binomial(L, i) * LaurentSeries({0: 1, 2 * (L + 1): -1})
+    return gaussian_binomial(L, i).mul_one_minus(1, 2 * (L + 1))
 
 
 def _binom_shift_rhs(p, c):
     L, i = p["L"], p["i"]
-    return gaussian_binomial(L + 1, i + 1) * LaurentSeries({0: 1, 2 * (i + 1): -1})
+    return gaussian_binomial(L + 1, i + 1).mul_one_minus(1, 2 * (i + 1))
 
 
 def _thm71_lhs(p, c):
-    M = p["M"]
-    out = LaurentSeries.zero()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            out = out + _ratio4(M, m, n).shift(_kr1_exp(m, n))
-    return out
+    return _ratio4_sum(p["M"], _kr1_exp)
 
 
 def _thm71_rhs(p, c):
     M = p["M"]
-    out = LaurentSeries.zero()
-    for j in range(-M, M + 1):
-        out = out + gaussian_binomial(2 * M, M + j, 6).shift(2 * (3 * j * j + j))
-    return out
+    return sum((gaussian_binomial(2 * M, M + j, 6).shift(2 * (3 * j * j + j))
+                for j in range(-M, M + 1)), LaurentSeries.zero())
 
 
 def _thm72_lhs(p, c):
     M = p["M"]
-    acc = LaurentSeries.zero()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            acc = acc + _ratio4(M, m, n).shift(_outlook2_exp(m, n))
-    return acc * (LaurentSeries({0: 1}) + LaurentSeries({6 * M: 1}))
+    s = _ratio4_sum(M, _outlook2_exp)
+    return s + s.shift(6 * M)                      # times (1 + q^(3M))
 
 
 def _thm72_rhs(p, c):
     M = p["M"]
     out = LaurentSeries.zero()
     for j in range(-M, M + 1):
-        pre = LaurentSeries({2 * (3 * j * j - 2 * j): 1}) + \
-            LaurentSeries({2 * (3 * j * j + j): 1})
-        out = out + gaussian_binomial(2 * M, M + j, 6) * pre
+        b = gaussian_binomial(2 * M, M + j, 6)
+        out = out + b.shift(2 * (3 * j * j - 2 * j)) + \
+            b.shift(2 * (3 * j * j + j))
     return out
 
 
 def _fincap2m_lhs(p, c):
-    M = p["M"]
-    out = LaurentSeries.zero()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            r = _ratio4(M, m, n)
-            out = out + r.shift(_cap2_exp_a(m, n))
-            out = out + r.shift(_cap2_exp_b(m, n))
-    return out
+    return _ratio4_sum(p["M"], _cap2_exp_a, _cap2_exp_b)
 
 
 def _fincap2m_rhs(p, c):
@@ -374,14 +359,7 @@ def _fincap2m_rhs(p, c):
 
 def _fincap1n_lhs(p, c):
     N = p["N"]
-    out = LaurentSeries.zero()
-    for n in range(N // 2 + 1):
-        for m in range(N - 2 * n + 1):
-            d = N - 2 * n - m
-            term = gaussian_binomial(3 * d, m) * \
-                gaussian_binomial(2 * d + n, n, 6)
-            out = out + term.shift(_kr1_exp(m, n))
-    return out
+    return _mn_sum(N, _fincap_term(N, 0), _kr1_exp)
 
 
 def _fincap1n_rhs(p, c):
@@ -397,28 +375,17 @@ def _fincap1n_rhs(p, c):
 
 def _fincap2n_lhs(p, c):
     N = p["N"]
-    out = LaurentSeries.zero()
-    for n in range(N // 2 + 1):
-        for m in range(N - 2 * n + 1):
-            d = N - 2 * n - m
-            t1 = gaussian_binomial(3 * d + 2, m) * \
-                gaussian_binomial(2 * d + n + 1, n, 6)
-            out = out + t1.shift(_cap2_exp_a(m, n))
-            t2 = gaussian_binomial(3 * d, m) * \
-                gaussian_binomial(2 * d + n, n, 6)
-            out = out + t2.shift(_cap2_exp_b(m, n))
-    return out
+    return _mn_sum(N, _fincap_term(N, 2), _cap2_exp_a) + \
+        _mn_sum(N, _fincap_term(N, 0), _cap2_exp_b)
 
 
 def _fincap2n_rhs(p, c):
     N = p["N"]
     out = LaurentSeries.zero()
-    for l in range(N + 1):
+    for l in range(N // 2 + 1):           # the terms end at 2l + 1 = N + 1
         term = gaussian_binomial(N + 1, 2 * l + 1, 6) * \
             poch_finite(MonomialArg(-1, 2), 12, l + 1) * \
             poch_finite(MonomialArg(-1, 10), 12, l)
-        if term.is_zero():
-            continue
         out = out + term.shift(6 * _binom2(N - 2 * l))
     return out
 
@@ -519,13 +486,9 @@ def _poch_reversal_rhs(p, c):
 def _outlook1_lhs(p, c):
     L, M = p["L"], p["M"]
     out = LaurentSeries.zero()
-    for m in range(3 * M + 1):
-        if (L - m) % 2 != 0:
-            continue
+    for m in range(L % 2, 3 * M + 1, 2):            # L - m even
         term = gaussian_binomial(3 * M, m) * \
             gaussian_binomial(2 * M + (L - m) // 2, 2 * M, 6)
-        if term.is_zero():
-            continue
         out = out + term.shift(m * m)
     return out
 
@@ -535,8 +498,6 @@ def _outlook1_rhs(p, c):
     out = LaurentSeries.zero()
     for j in range(-L - M - 1, L + M + 2):
         t = refined_trinomial(RefinedTParams(L, M, j, j, step=6))
-        if t.is_zero():
-            continue
         out = out + t.shift(3 * j * j + 2 * j)
     return out
 
@@ -571,8 +532,6 @@ def _hierarchy_lhs(p, c):
                     term = term * gaussian_binomial(top, ns[j - 1], 6)
                     if term.is_zero():
                         break
-                if term.is_zero():
-                    continue
                 e = m * m + 3 * (i * i + sum(N * N for N in Ns))
                 out = out + term.shift(e)
     return out
@@ -584,10 +543,7 @@ def _hierarchy_rhs(p, c):
     coef = 3 * (nu + 2) * (nu + 1) // 2          # 3 * binom(nu+2, 2)
     for j in range(-L, L + 1):
         a = (nu + 2) * j
-        t = _rt3(L, a, a)
-        if t.is_zero():
-            continue
-        out = out + t.shift(2 * (coef * j * j + j))
+        out = out + _rt3(L, a, a).shift(2 * (coef * j * j + j))
     return out
 
 
@@ -632,8 +588,8 @@ def _genfun_rhs(p, c):
     if pair == 1:
         # times (1 + q) / (1 + t q) = sum_k (-1)^k t^k (q^k + q^(k+1))
         prod = prod * TrivariateSeries(
-            {(k, 0): LaurentSeries({2 * k: (-1) ** k, 2 * k + 2: (-1) ** k})
-             for k in range(tcut + 1)}, t_cutoff=tcut, q_cutoff=c)
+            {(k, 0): LaurentSeries.monomial((-1) ** k, 2 * k).mul_one_minus(
+                -1, 2) for k in range(tcut + 1)}, t_cutoff=tcut, q_cutoff=c)
     return prod
 
 
@@ -808,30 +764,26 @@ def _bailey_halves(u: int, step: int) -> int:
     return v // 2
 
 
+# Per kind: the offsets o of the T_kind(i, a + o) that F(i) sums, and
+# the s of the powers Q^{a(a-s)/2} on the RHS.  The LHS power is
+# Q^{i(i-kind)/2}; kind -1 widens [2L, L-a] to [2L+1, L-a] on the RHS,
+# and kind 1 multiplies the LHS by (1 + Q^L).
+_BAILEY_KINDS = {0: ((0,), (0,)), 1: ((0,), (1, -1)), -1: ((0, 1), (-1,))}
+
+
 def _bailey_lhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
                 step: int) -> LaurentSeries:
-    def F(i: int) -> LaurentSeries:
-        acc = LaurentSeries.zero()
-        for a, coeff in alpha.items():
-            if kind == -1:
-                t = t_trinomial(TParams(-1, i, a, step)) + \
-                    t_trinomial(TParams(-1, i, a + 1, step))
-            else:
-                t = t_trinomial(TParams(kind, i, a, step))
-            acc = acc + coeff * t
-        return acc
-
+    offsets = _BAILEY_KINDS[kind][0]
     lhs = LaurentSeries.zero()
     for i in range(L + 1):
-        base = gaussian_binomial(L, i, step) * F(i)
-        if kind == 0:
-            lhs = lhs + base.shift(_bailey_halves(i * i, step))
-        elif kind == 1:
-            lhs = lhs + base.shift(_bailey_halves(i * (i - 1), step))
-        else:
-            lhs = lhs + base.shift(_bailey_halves(i * (i + 1), step))
+        F = LaurentSeries.zero()
+        for a, coeff in alpha.items():
+            F = F + coeff * sum((t_trinomial(TParams(kind, i, a + o, step))
+                                 for o in offsets), LaurentSeries.zero())
+        lhs = lhs + (gaussian_binomial(L, i, step) * F).shift(
+            _bailey_halves(i * (i - kind), step))
     if kind == 1:
-        lhs = lhs * (LaurentSeries({0: 1}) + LaurentSeries({L * step: 1}))
+        lhs = lhs + lhs.shift(L * step)
     return lhs
 
 
@@ -839,19 +791,12 @@ def _bailey_rhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
                 step: int) -> LaurentSeries:
     rhs = LaurentSeries.zero()
     for a, coeff in alpha.items():
-        if kind == 0:
-            term = gaussian_binomial(2 * L, L - a, step).shift(
-                _bailey_halves(a * a, step))
-        elif kind == 1:
-            pre = LaurentSeries({_bailey_halves(a * (a - 1), step): 1}) + \
-                LaurentSeries({_bailey_halves(a * (a + 1), step): 1})
-            term = gaussian_binomial(2 * L, L - a, step) * pre
-        else:
-            # exponent on the alpha side carries the support variable a,
-            # not the bound summation index
-            term = gaussian_binomial(2 * L + 1, L - a, step).shift(
-                _bailey_halves(a * (a + 1), step))
-        rhs = rhs + coeff * term
+        # exponent on the alpha side carries the support variable a,
+        # not the bound summation index
+        b = gaussian_binomial(2 * L + (kind == -1), L - a, step)
+        rhs = rhs + coeff * sum((b.shift(_bailey_halves(a * (a - s), step))
+                                 for s in _BAILEY_KINDS[kind][1]),
+                                LaurentSeries.zero())
     return rhs
 
 
@@ -883,6 +828,8 @@ def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:
     """
     if abs(n) > 4:
         raise ValueError("|n| must be at most 4")
+    if t_cutoff < 0 or q_cutoff < 0:
+        raise ValueError("t_cutoff and q_cutoff must be non-negative")
     start = time.monotonic()
     cw = q_cutoff + 4 * abs(n) * t_cutoff + 4 * t_cutoff + 4
 
@@ -924,44 +871,59 @@ def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # limit stabilization
 
+def _pair_limit(id: str, e: int):
+    """The RHS of the pair identity ``id`` in L, and 1/(q^(e/2);q^3)_inf."""
+    return ({}, lambda p, L, c: REGISTRY[id].rhs({"L": L}, c),
+            lambda p, c: inv_poch_infinite(MonomialArg(1, e), 6, c))
+
+
+def _binom_limit2_target(p, c):
+    if p["nu"] not in (0, 1) or p["j"] < 0:
+        raise ValueError("binom_limit2 needs nu in {0,1} and j >= 0")
+    return inv_poch_infinite(MonomialArg(1, 2), 2, c)
+
+
+# id -> (default parameters, member(params, index, cutoff),
+# target(params, cutoff)); the binomial families stabilize to
+# 1/(q;q)_m and 1/(q;q)_inf
 _LIMIT_TARGETS = {
-    # the three pair identities stabilize to these products
-    "first_pair": lambda c: inv_poch_infinite(MonomialArg(1, 2), 6, c),
-    "second_pair": lambda c: inv_poch_infinite(MonomialArg(1, 4), 6, c),
-    "third_pair": lambda c: inv_poch_infinite(MonomialArg(1, 2), 6, c),
+    "first_pair": _pair_limit("first_pair", 2),
+    "second_pair": _pair_limit("second_pair", 4),
+    "third_pair": _pair_limit("third_pair", 2),
+    "binom_limit": ({"m": 2},
+                    lambda p, N, c: gaussian_binomial(N, p["m"], cutoff=c),
+                    lambda p, c: inv_poch_series(p["m"], 2, c)),
+    "binom_limit2": ({"nu": 0, "j": 0},
+                     lambda p, M, c: gaussian_binomial(2 * M + p["nu"],
+                                                       M - p["j"], cutoff=c),
+                     _binom_limit2_target),
 }
+
+# members 0 .. _SEARCH_BOUND are built; the window must stabilize in them
+_SEARCH_BOUND = 30
 
 
 def verify_limit_stabilization(id: str, window: int,
-                               params: Optional[dict] = None,
-                               search_bound: int = 30) -> VerificationReport:
+                               params: Optional[dict] = None
+                               ) -> VerificationReport:
     """Find the first index from which the family agrees with its limit
     below the degree window (half-units).  Errors if the window needs more
-    than ``search_bound`` terms.
+    than ``_SEARCH_BOUND`` terms.
 
     Each family member is built only below the window.
     """
     start = time.monotonic()
-    params = dict(params or {})
-
-    if id in _LIMIT_TARGETS:
-        target = _LIMIT_TARGETS[id](window)
-        def member(L):
-            return REGISTRY[id].rhs({"L": L}, window)
-    elif id == "binom_limit":
-        m = params.get("m", 2)
-        target = inv_poch_series(m, 2, window)
-        def member(N):
-            return gaussian_binomial(N, m, cutoff=window)
-    elif id == "binom_limit2":
-        nu, j = params.get("nu", 0), params.get("j", 0)
-        if nu not in (0, 1) or j < 0:
-            raise ValueError("binom_limit2 needs nu in {0,1} and j >= 0")
-        target = inv_poch_infinite(MonomialArg(1, 2), 2, window)
-        def member(M):
-            return gaussian_binomial(2 * M + nu, M - j, cutoff=window)
-    else:
+    if id not in _LIMIT_TARGETS:
         raise KeyError(f"no stabilization target for id {id!r}")
+    defaults, member, target = _LIMIT_TARGETS[id]
+    params = dict(params or {})
+    extra = sorted(set(params) - set(defaults))
+    if extra:
+        raise ValueError(f"{id}: expected parameters {sorted(defaults)}, "
+                         f"unexpected {extra}")
+    if window < 0:
+        raise ValueError(f"{id}: window must be non-negative, got {window}")
+    p = {**defaults, **params}
 
     def checked(series: LaurentSeries, what: str) -> LaurentSeries:
         if series.cutoff != window:
@@ -969,11 +931,11 @@ def verify_limit_stabilization(id: str, window: int,
                              f"not the window {window}")
         return series
 
-    target = checked(target, "target")
+    limit = checked(target(p, window), "target")
     agree_from = None
-    for L in range(search_bound + 1):
-        value = checked(member(L), f"member {L}")
-        if value.first_mismatch(target) is None:
+    for L in range(_SEARCH_BOUND + 1):
+        value = checked(member(p, L, window), f"member {L}")
+        if value.first_mismatch(limit) is None:
             if agree_from is None:
                 agree_from = L
         else:

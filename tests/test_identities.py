@@ -180,9 +180,9 @@ class TestShortenedWindow:
             verify_limit_stabilization("third_pair", window=q(6))
 
     def test_stabilization_target_short(self, monkeypatch):
-        base = identities._LIMIT_TARGETS["third_pair"]
+        defaults, member, target = identities._LIMIT_TARGETS["third_pair"]
         monkeypatch.setitem(identities._LIMIT_TARGETS, "third_pair",
-                            lambda c: base(c - 2))
+                            (defaults, member, lambda p, c: target(p, c - 2)))
         with pytest.raises(ValueError, match="target"):
             verify_limit_stabilization("third_pair", window=q(6))
 
@@ -245,8 +245,13 @@ class TestLemma31:
         assert rep.match
 
     def test_no_t_degrees(self):
-        # both sides are empty series in t
-        assert verify_lemma31(1, t_cutoff=-1, q_cutoff=q(4)).match
+        # both sides would be empty series in t: no window to compare
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_lemma31(1, t_cutoff=-1, q_cutoff=q(4))
+
+    def test_negative_q_cutoff_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_lemma31(0, t_cutoff=0, q_cutoff=-5)
 
     def test_small_window(self):
         for n in (-1, 0, 1):
@@ -342,6 +347,20 @@ class TestStabilization:
     def test_unknown_target(self):
         with pytest.raises(KeyError):
             verify_limit_stabilization("thm71", 10)
+
+    @pytest.mark.parametrize("id,params", [
+        ("binom_limit", {"mm": 3}),
+        ("binom_limit2", {"nu": 1, "m": 2}),
+        ("third_pair", {"L": 5}),
+    ])
+    def test_unknown_parameter_rejected(self, id, params):
+        with pytest.raises(ValueError, match="unexpected"):
+            verify_limit_stabilization(id, q(6), params)
+
+    @pytest.mark.parametrize("id", ["first_pair", "binom_limit"])
+    def test_negative_window_rejected(self, id):
+        with pytest.raises(ValueError, match="window"):
+            verify_limit_stabilization(id, -4)
 
 
 class TestEmpiricalPositivity:
