@@ -12,8 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .identities import (IdentityInstance, bailey_sides, compute_side,
-                         verify_identity, verify_lemma31,
-                         verify_limit_stabilization)
+                         verify_identity, verify_limit_stabilization)
 from .partitions import VARIANTS, capparelli_chain
 from .series import LaurentSeries
 from .trinomials import TrinomialParams, round_trinomial
@@ -144,14 +143,11 @@ def crit_series() -> dict | None:
 
 
 def crit_genfun() -> dict | None:
-    for n in range(-2, 3):
-        rep = verify_lemma31(n, t_cutoff=6, q_cutoff=24)
-        if not rep.match:
-            return {"lemma": True, "n": n,
-                    "first_mismatch": rep.first_mismatch}
-    return _verify_all(
-        IdentityInstance("genfun_products", {"pair": p, "t_cutoff": 6}, 24)
-        for p in (1, 2, 3))
+    insts = [IdentityInstance("lemma_genfun", {"n": n, "t_cutoff": 6}, 24)
+             for n in range(-2, 3)]
+    insts += [IdentityInstance("genfun_products", {"pair": p, "t_cutoff": 6},
+                               24) for p in (1, 2, 3)]
+    return _verify_all(insts)
 
 
 def crit_capparelli_chain() -> dict | None:

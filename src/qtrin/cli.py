@@ -265,7 +265,8 @@ def cmd_coeffs(args, out) -> int:
     _validate([inst])
     side = compute_side(inst, args.side)
     if not isinstance(side, LaurentSeries):
-        raise UsageError(f"{inst.id} {args.side} is a series in (t, q), not q")
+        raise UsageError(f"{inst.id} {args.side} is a series in (t, q) "
+                         "or (t, x, q), not q")
     rows = [{"exponent_halves": e, "coefficient": c}
             for e, c in sorted(side.terms.items())]
     if args.format == "json":

@@ -5,8 +5,10 @@ q-blocks and trinomial kernels.  Polynomial identities are verified
 exactly; identities involving infinite products are verified below an
 explicit cutoff (half-exponent units).
 
-Also here: the Bailey-type transform, the trivariate generating-function
-verifier, and limit-stabilization checks.
+The two generating-function checks are registry ids: ``genfun_products``
+in (t, q) and the trivariate lemma ``lemma_genfun`` in (t, x, q), whose
+LHS share one t-graded sum; ``verify_lemma31`` verifies the latter.
+Also here: the Bailey-type transform and limit-stabilization checks.
 """
 
 from __future__ import annotations
@@ -548,7 +550,8 @@ def _hierarchy_rhs(p, c):
 
 
 # ---------------------------------------------------------------------------
-# genfun products: bivariate (t, q) cross-check of the three pair identities
+# generating functions in t: the bivariate (t, q) cross-check of the three
+# pair identities, and the trivariate (t, x, q) lemma for round trinomials
 
 def _euler(a: int, b: int, c: int, step: int, inverse: bool, t_cutoff: int,
            q_cutoff: int) -> TrivariateSeries:
@@ -568,16 +571,29 @@ def _euler(a: int, b: int, c: int, step: int, inverse: bool, t_cutoff: int,
     return TrivariateSeries(entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
 
 
+def _t_graded_sum(rows: list, step: int, c: int) -> TrivariateSeries:
+    """sum_L t^L sum_j x^j rows[L][j] / (Q;Q)_L, Q = q^(step/2), through
+    t^(len(rows) - 1) and below c, for exact rows[L][j].  1/(Q;Q)_L is
+    carried from L - 1; each entry keeps only what its lowest exponent
+    needs."""
+    need = {(L, j): c - min(0, f.min_exp()) for L, row in enumerate(rows)
+            for j, f in row.items() if not f.is_zero()}
+    inv = LaurentSeries.one().truncate(max(need.values(), default=c))
+    entries = {}
+    for L, row in enumerate(rows):
+        if L:
+            inv = inv.div_one_minus(1, step * L)
+        for j, f in row.items():
+            if (L, j) in need:
+                entries[(L, j)] = inv.truncate(need[(L, j)]) * f
+    return TrivariateSeries(entries, t_cutoff=len(rows) - 1, q_cutoff=c)
+
+
 def _genfun_lhs(p, c):
     pair, tcut = p["pair"], p["t_cutoff"]
     rhs = REGISTRY[("first_pair", "second_pair", "third_pair")[pair - 1]].rhs
-    out = TrivariateSeries({}, t_cutoff=tcut, q_cutoff=c)
-    inv = LaurentSeries.one().truncate(c)                # 1/(q^3;q^3)_L
-    for L in range(tcut + 1):
-        out = out + TrivariateSeries.term(L, 0, inv * rhs({"L": L}, None),
-                                          t_cutoff=tcut, q_cutoff=c)
-        inv = inv.div_one_minus(1, 6 * (L + 1))
-    return out
+    return _t_graded_sum([{0: rhs({"L": L}, None)} for L in range(tcut + 1)],
+                         6, c)
 
 
 def _genfun_rhs(p, c):
@@ -591,6 +607,27 @@ def _genfun_rhs(p, c):
             {(k, 0): LaurentSeries.monomial((-1) ** k, 2 * k).mul_one_minus(
                 -1, 2) for k in range(tcut + 1)}, t_cutoff=tcut, q_cutoff=c)
     return prod
+
+
+def _lemma_lhs(p, c):
+    n, tcut = p["n"], p["t_cutoff"]
+    return _t_graded_sum(
+        [{j: round_trinomial(TrinomialParams(L, j - n, j, step=2))
+          for j in range(-L, L + 1)} for L in range(tcut + 1)], 2, c)
+
+
+def _lemma_rhs(p, c):
+    n, tcut = p["n"], p["t_cutoff"]
+    # (t^2 q^-n; q)_inf / ((t; q)_inf (t x^-1 q^-n; q)_inf (t x; q)_inf).
+    # At t-degree k, 1/(t x^-1 q^-n; q)_inf starts at q^(-nk), the lowest
+    # start of the four factors, so for n > 0 every factor is built
+    # 2 n t_cutoff half-units above c
+    work = c + 2 * max(n, 0) * tcut
+    rhs = _euler(2, 0, -2 * n, 2, False, tcut, work) * \
+        _euler(1, 0, 0, 2, True, tcut, work) * \
+        _euler(1, -1, -2 * n, 2, True, tcut, work) * \
+        _euler(1, 1, 0, 2, True, tcut, work)
+    return TrivariateSeries(rhs.entries, t_cutoff=tcut, q_cutoff=c)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +672,13 @@ def _genfun_check(p):
         raise ValueError("pair must be 1, 2 or 3")
     if p["t_cutoff"] < 0:
         raise ValueError("t_cutoff must be non-negative")
+
+
+def _lemma_check(p):
+    # the Laurent tail of the RHS goes like q^(-n t_cutoff)
+    if abs(p["n"]) > 4:
+        raise ValueError("|n| must be at most 4")
+    _nonneg("t_cutoff")(p)
 
 
 def _hier_check(p):
@@ -692,6 +736,8 @@ _DEFS = [
                 _poch_reversal_rhs, _nonneg("n")),
     IdentityDef("genfun_products", ("pair", "t_cutoff"), "truncated",
                 _genfun_lhs, _genfun_rhs, _genfun_check),
+    IdentityDef("lemma_genfun", ("n", "t_cutoff"), "truncated", _lemma_lhs,
+                _lemma_rhs, _lemma_check),
     IdentityDef("outlook1", ("L", "M"), "exact", _outlook1_lhs, _outlook1_rhs,
                 _nonneg("L", "M")),
     IdentityDef("hierarchy", ("nu", "L"), "exact", _hierarchy_lhs,
@@ -751,6 +797,14 @@ def verify_identity(instance: IdentityInstance) -> VerificationReport:
     mism = lhs.first_mismatch(rhs)
     elapsed = int((time.monotonic() - start) * 1000)
     return VerificationReport(instance, mism is None, mism, elapsed)
+
+
+def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:
+    """Verify the registry id ``lemma_genfun``: both sides of the
+    trivariate generating function for the round trinomials, through
+    t-degree t_cutoff and q exponent q_cutoff (half-units)."""
+    return verify_identity(IdentityInstance(
+        "lemma_genfun", {"n": n, "t_cutoff": t_cutoff}, q_cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -818,57 +872,6 @@ def bailey_sides(kind: int, alpha: dict[int, LaurentSeries], L: int,
 
 
 # ---------------------------------------------------------------------------
-# trivariate generating-function check (the three-variable lemma)
-
-def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:
-    """Compare both sides of the trivariate generating function for the
-    round trinomials, through t-degree t_cutoff and q exponent q_cutoff.
-
-    |n| is kept small: the Laurent tail goes like q^{-n k}.
-    """
-    if abs(n) > 4:
-        raise ValueError("|n| must be at most 4")
-    if t_cutoff < 0 or q_cutoff < 0:
-        raise ValueError("t_cutoff and q_cutoff must be non-negative")
-    start = time.monotonic()
-    cw = q_cutoff + 4 * abs(n) * t_cutoff + 4 * t_cutoff + 4
-
-    rts = {}
-    for L in range(t_cutoff + 1):
-        for j in range(-L, L + 1):
-            rt = round_trinomial(TrinomialParams(L, j - n, j, step=2))
-            if not rt.is_zero():
-                rts[(L, j)] = rt
-    # 1/(q;q)_L carried across L, below one working cutoff that covers the
-    # lowest exponent of every round trinomial; each entry takes what it needs
-    inv = LaurentSeries.one().truncate(
-        cw - min([0] + [rt.min_exp() for rt in rts.values()]))
-    lhs_entries: dict = {}
-    for L in range(t_cutoff + 1):
-        if L:
-            inv = inv.div_one_minus(1, 2 * L)
-        for j in range(-L, L + 1):
-            if (L, j) in rts:
-                rt = rts[(L, j)]
-                need = cw - min(0, rt.min_exp())
-                lhs_entries[(L, j)] = inv.truncate(need) * rt
-    lhs = TrivariateSeries(lhs_entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
-
-    # (t^2 q^{-n}; q)_inf / ((t; q)_inf (t x^-1 q^-n; q)_inf (t x; q)_inf)
-    rhs = _euler(2, 0, -2 * n, 2, False, t_cutoff, cw) * \
-        _euler(1, 0, 0, 2, True, t_cutoff, cw) * \
-        _euler(1, -1, -2 * n, 2, True, t_cutoff, cw) * \
-        _euler(1, 1, 0, 2, True, t_cutoff, cw)
-    rhs = TrivariateSeries(rhs.entries, t_cutoff=t_cutoff, q_cutoff=q_cutoff)
-
-    mism = lhs.first_mismatch(rhs)
-    inst = IdentityInstance("lemma_genfun", {"n": n, "t_cutoff": t_cutoff},
-                            q_cutoff)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return VerificationReport(inst, mism is None, mism, elapsed)
-
-
-# ---------------------------------------------------------------------------
 # limit stabilization
 
 def _pair_limit(id: str, e: int):
@@ -877,9 +880,24 @@ def _pair_limit(id: str, e: int):
             lambda p, c: inv_poch_infinite(MonomialArg(1, e), 6, c))
 
 
+def _searchable(id: str, name: str, p: dict) -> None:
+    """Members of the binomial families are zero while their index is
+    below p[name]; past the search bound every member searched is zero
+    and none can reach the limit."""
+    if p[name] > _SEARCH_BOUND:
+        raise ValueError(f"{id}: parameter {name} must be at most "
+                         f"{_SEARCH_BOUND}, the search bound; got {p[name]}")
+
+
+def _binom_limit_target(p, c):
+    _searchable("binom_limit", "m", p)
+    return inv_poch_series(p["m"], 2, c)
+
+
 def _binom_limit2_target(p, c):
     if p["nu"] not in (0, 1) or p["j"] < 0:
         raise ValueError("binom_limit2 needs nu in {0,1} and j >= 0")
+    _searchable("binom_limit2", "j", p)
     return inv_poch_infinite(MonomialArg(1, 2), 2, c)
 
 
@@ -892,7 +910,7 @@ _LIMIT_TARGETS = {
     "third_pair": _pair_limit("third_pair", 2),
     "binom_limit": ({"m": 2},
                     lambda p, N, c: gaussian_binomial(N, p["m"], cutoff=c),
-                    lambda p, c: inv_poch_series(p["m"], 2, c)),
+                    _binom_limit_target),
     "binom_limit2": ({"nu": 0, "j": 0},
                      lambda p, M, c: gaussian_binomial(2 * M + p["nu"],
                                                        M - p["j"], cutoff=c),

@@ -451,26 +451,6 @@ class TrivariateSeries:
         self.t_cutoff = t_cutoff
         self.q_cutoff = q_cutoff
 
-    @staticmethod
-    def one(*, t_cutoff: int, q_cutoff: int) -> "TrivariateSeries":
-        return TrivariateSeries({(0, 0): LaurentSeries.one()},
-                                t_cutoff=t_cutoff, q_cutoff=q_cutoff)
-
-    @staticmethod
-    def term(t_degree: int, x_exp: int, coeff: LaurentSeries, *,
-             t_cutoff: int, q_cutoff: int) -> "TrivariateSeries":
-        return TrivariateSeries({(t_degree, x_exp): coeff},
-                                t_cutoff=t_cutoff, q_cutoff=q_cutoff)
-
-    def __add__(self, other: "TrivariateSeries") -> "TrivariateSeries":
-        tcut = min(self.t_cutoff, other.t_cutoff)
-        qcut = min(self.q_cutoff, other.q_cutoff)
-        out = dict(self.entries)
-        for key, s in other.entries.items():
-            cur = out.get(key)
-            out[key] = s if cur is None else cur + s
-        return TrivariateSeries(out, t_cutoff=tcut, q_cutoff=qcut)
-
     def __mul__(self, other: "TrivariateSeries") -> "TrivariateSeries":
         tcut = min(self.t_cutoff, other.t_cutoff)
         qcut = min(self.q_cutoff, other.q_cutoff)

@@ -82,6 +82,7 @@ TRUNCATED_PARAMS = {
     "q_exponential": {"z_sign": 1, "z_exp": 2},
     "jtp": {"z_sign": 1, "z_exp": 0},
     "genfun_products": {"pair": 1, "t_cutoff": 2},
+    "lemma_genfun": {"n": -1, "t_cutoff": 2},
 }
 TRUNCATED_IDS = sorted(id for id, d in REGISTRY.items()
                        if d.mode == "truncated")
@@ -376,11 +377,15 @@ class TestCoeffs:
 
     @pytest.mark.parametrize("side", ["LHS", "RHS"])
     def test_bivariate_side_exits_2(self, side, capsys):
-        code, text = run(["coeffs", "--id", "genfun_products", "--param",
-                          "pair=1", "--param", "t_cutoff=2", "--cutoff", "10",
-                          "--side", side])
-        assert (code, text) == (2, "")
-        assert "series in (t, q)" in capsys.readouterr().err
+        # genfun_products is a series in (t, q), lemma_genfun in (t, x, q)
+        for id, params in (("genfun_products", ["pair=1", "t_cutoff=2"]),
+                           ("lemma_genfun", ["n=1", "t_cutoff=2"])):
+            argv = ["coeffs", "--id", id, "--cutoff", "10", "--side", side]
+            for param in params:
+                argv += ["--param", param]
+            code, text = run(argv)
+            assert (code, text) == (2, ""), id
+            assert "series in (t, q)" in capsys.readouterr().err
 
 
 class TestPartitionsCommand:

@@ -47,6 +47,7 @@ CASES = [
     IdentityInstance("jtp", {"z_sign": -1, "z_exp": 1}, q(20)),
     IdentityInstance("poch_reversal", {"n": 5}),
     IdentityInstance("genfun_products", {"pair": 1, "t_cutoff": 4}, q(8)),
+    IdentityInstance("lemma_genfun", {"n": 2, "t_cutoff": 4}, q(8)),
     IdentityInstance("outlook1", {"L": 3, "M": 2}),
     IdentityInstance("hierarchy", {"nu": 2, "L": 3}),
 ]
@@ -54,7 +55,9 @@ CASES = [
 CHAIN_COLUMNS = ("congruence", "difference", "product", "double_sum")
 
 # Recorded before the Capparelli columns and the T-summations were
-# rebuilt on the shared registry and Bailey-transform builders.
+# rebuilt on the shared registry and Bailey-transform builders;
+# lemma_genfun from the two sides verify_lemma31 compared before the
+# lemma became a registry id.
 SIDE_DIGESTS = {
     "first_pair":
         "687612948247f906136c7bb6d7ea8ef73747d829992a617deb15093b571fa8a3",
@@ -104,6 +107,8 @@ SIDE_DIGESTS = {
         "5aca52e4df7d390d6a42d774ee401e95d0fc93182584b4bed8fde30feff2042d",
     "genfun_products":
         "44fa11f788489e1c28f343f91cb9edc7f5f81f4d9df0f0f7fbe969a35e9c6010",
+    "lemma_genfun":
+        "c6e3226c49a5e12c7c01a6090e826696ba764d4990dd57c79753549ac76322d1",
     "outlook1":
         "2c2047a9ad78589be7be7ed62ea26b3a8c63df33b5198b855f991c52f623ba01",
     "hierarchy":

@@ -250,7 +250,7 @@ class TestLemma31:
             verify_lemma31(1, t_cutoff=-1, q_cutoff=q(4))
 
     def test_negative_q_cutoff_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="cutoff >= 0"):
             verify_lemma31(0, t_cutoff=0, q_cutoff=-5)
 
     def test_small_window(self):
@@ -261,6 +261,15 @@ class TestLemma31:
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
             verify_lemma31(5, t_cutoff=2, q_cutoff=10)
+
+    @pytest.mark.parametrize("n", [-4, 4])
+    def test_extreme_n_at_the_tightest_working_cutoff(self, n):
+        # the RHS working cutoff grows with n * t_cutoff; at |n| = 4 it
+        # is tightest, and a short entry would raise, not pass
+        rep = verify_lemma31(n, t_cutoff=8, q_cutoff=40)
+        assert rep.match, (n, rep.first_mismatch)
+        assert rep.instance == IdentityInstance(
+            "lemma_genfun", {"n": n, "t_cutoff": 8}, 40)
 
     def test_genfun_products(self):
         for pair in (1, 2, 3):
@@ -293,7 +302,8 @@ class TestEuler:
             assert all(s.cutoff == work for s in side.entries.values())
         prod = direct * inverse
         prod = TrivariateSeries(prod.entries, t_cutoff=tcut, q_cutoff=qcut)
-        one = TrivariateSeries.one(t_cutoff=tcut, q_cutoff=qcut)
+        one = TrivariateSeries({(0, 0): LaurentSeries.one()},
+                               t_cutoff=tcut, q_cutoff=qcut)
         assert prod.first_mismatch(one) is None
 
 
@@ -356,6 +366,22 @@ class TestStabilization:
     def test_unknown_parameter_rejected(self, id, params):
         with pytest.raises(ValueError, match="unexpected"):
             verify_limit_stabilization(id, q(6), params)
+
+    @pytest.mark.parametrize("id,name", [("binom_limit", "m"),
+                                         ("binom_limit2", "j")])
+    def test_index_past_search_bound_rejected(self, id, name):
+        # every member searched is zero, so no window could stabilize
+        with pytest.raises(ValueError, match=f"parameter {name} "):
+            verify_limit_stabilization(id, 0, {name: 31})
+
+    @pytest.mark.parametrize("id,params", [
+        ("binom_limit", {"m": 30}),
+        ("binom_limit2", {"nu": 0, "j": 30}),
+    ])
+    def test_index_at_search_bound_stabilizes(self, id, params):
+        rep = verify_limit_stabilization(id, 0, params)
+        assert rep.match
+        assert rep.detail["stabilized_at"] == 30
 
     @pytest.mark.parametrize("id", ["first_pair", "binom_limit"])
     def test_negative_window_rejected(self, id):

@@ -55,6 +55,7 @@ SCHEMAS = {
     "jtp": truncated(40, z_sign=(-1, 1), z_exp=(-2, 2)),
     "poch_reversal": exact(n=(-1, 8)),
     "genfun_products": truncated(16, pair=(0, 3), t_cutoff=(-1, 4)),
+    "lemma_genfun": truncated(16, n=(-5, 5), t_cutoff=(-1, 4)),
     "outlook1": exact(L=(-1, 4), M=(-1, 2)),
     "hierarchy": exact(nu=(0, 2), L=(-1, 3)),
 }

@@ -240,29 +240,32 @@ class TestMulOneMinus:
 
 
 class TestTrivariate:
+    @staticmethod
+    def single(t_degree, x_exp, coeff):
+        return TrivariateSeries({(t_degree, x_exp): coeff},
+                                t_cutoff=3, q_cutoff=10)
+
     def test_one_and_entry(self):
-        t = TrivariateSeries.one(t_cutoff=3, q_cutoff=10)
+        t = self.single(0, 0, LaurentSeries.one())
         assert t.entry(0, 0).terms == {0: 1}
         assert t.entry(2, 0).is_zero()
 
     def test_mul_tracks_degrees(self):
-        t = TrivariateSeries.term(1, 1, LaurentSeries.one(),
-                                  t_cutoff=3, q_cutoff=10)
+        t = self.single(1, 1, LaurentSeries.one())
         sq = t * t
         assert sq.entry(2, 2).terms == {0: 1}
         assert (sq * sq).entries == {}   # t-degree 4 > cutoff
 
     def test_first_mismatch(self):
-        a = TrivariateSeries.term(1, 0, S({2: 5}), t_cutoff=3, q_cutoff=10)
-        b = TrivariateSeries.term(1, 0, S({2: 6}), t_cutoff=3, q_cutoff=10)
+        a = self.single(1, 0, S({2: 5}))
+        b = self.single(1, 0, S({2: 6}))
         assert a.first_mismatch(b) == (1, 0, 2, 5, 6)
         assert a.first_mismatch(a) is None
 
     def test_first_mismatch_rejects_short_entry(self):
         # an entry known only to q^(4/2) cannot be compared through 10
-        short = TrivariateSeries.term(1, 0, S({2: 5}, 4),
-                                      t_cutoff=3, q_cutoff=10)
-        full = TrivariateSeries.term(1, 0, S({2: 5}), t_cutoff=3, q_cutoff=10)
+        short = self.single(1, 0, S({2: 5}, 4))
+        full = self.single(1, 0, S({2: 5}))
         with pytest.raises(ValueError):
             short.first_mismatch(full)
         with pytest.raises(ValueError):
