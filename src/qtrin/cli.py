@@ -21,6 +21,7 @@ import argparse
 import concurrent.futures
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -46,8 +47,10 @@ class UsageError(Exception):
 def report_record(rep: VerificationReport) -> dict:
     mism = None
     if rep.first_mismatch is not None:
-        e, lc, rc = rep.first_mismatch
-        mism = {"exponent_halves": e, "lhs": lc, "rhs": rc}
+        # a series in t leads with the t-degree and x exponent
+        *pos, e, lc, rc = rep.first_mismatch
+        mism = dict(zip(("t_degree", "x_exponent"), pos))
+        mism.update(exponent_halves=e, lhs=lc, rhs=rc)
     return {
         "id": rep.instance.id,
         "params": {k: rep.instance.params[k]
@@ -62,28 +65,34 @@ def report_record(rep: VerificationReport) -> dict:
 _CSV_FIELDS = ["id", "params", "cutoff_halves", "match",
                "mismatch_exponent_halves", "mismatch_lhs", "mismatch_rhs",
                "elapsed_ms"]
+_CSV_GRADED_FIELDS = ["mismatch_t_degree", "mismatch_x_exponent"]
 
 
-def _csv_row(rec: dict) -> list:
+def _csv_row(rec: dict, graded: bool) -> list:
     m = rec["first_mismatch"] or {}
-    return [rec["id"], json.dumps(rec["params"], sort_keys=True),
-            rec["cutoff_halves"], rec["match"],
-            m.get("exponent_halves"), m.get("lhs"), m.get("rhs"),
-            rec["elapsed_ms"]]
+    row = [rec["id"], json.dumps(rec["params"], sort_keys=True),
+           rec["cutoff_halves"], rec["match"],
+           m.get("exponent_halves"), m.get("lhs"), m.get("rhs"),
+           rec["elapsed_ms"]]
+    return row + [m.get("t_degree"), m.get("x_exponent")] if graded else row
 
 
 class ReportWriter:
-    """Streams records to ``out`` in the chosen format."""
+    """Streams records to ``out`` in the chosen format.  ``graded``: the
+    sides are series in t, and a csv report has two more columns for the
+    t-degree and x exponent of a mismatch."""
 
-    def __init__(self, fmt: str, out):
+    def __init__(self, fmt: str, out, graded: bool = False):
         self.fmt = fmt
         self.out = out
+        self.graded = graded
         self._first = True
         if fmt == "json":
             out.write("[")
         elif fmt == "csv":
             w = csv.writer(out)
-            w.writerow(_CSV_FIELDS)
+            w.writerow(_CSV_FIELDS + _CSV_GRADED_FIELDS if graded
+                       else _CSV_FIELDS)
 
     def write(self, rep: VerificationReport):
         rec = report_record(rep)
@@ -91,7 +100,7 @@ class ReportWriter:
             sep = "\n " if self._first else ",\n "
             self.out.write(sep + json.dumps(rec, sort_keys=True))
         elif self.fmt == "csv":
-            csv.writer(self.out).writerow(_csv_row(rec))
+            csv.writer(self.out).writerow(_csv_row(rec, self.graded))
         else:
             status = "ok " if rec["match"] else "FAIL"
             mism = rec["first_mismatch"]
@@ -187,18 +196,9 @@ def _instances_for_sweep(id: str, ranges: list[tuple[str, list[int]]],
     if both:
         raise UsageError(f"given as both --range and --param: "
                          f"{', '.join(both)}")
-    insts = []
-
-    def expand(i, acc):
-        if i == len(ranges):
-            insts.append(IdentityInstance(id, {**fixed, **acc}, cutoff))
-            return
-        name, values = ranges[i]
-        for v in values:
-            expand(i + 1, {**acc, name: v})
-
-    expand(0, {})
-    return insts
+    return [IdentityInstance(id, {**fixed, **dict(zip(names, values))},
+                             cutoff)
+            for values in itertools.product(*(v for _, v in ranges))]
 
 
 def _validate(instances):
@@ -225,7 +225,9 @@ def _reports(instances, jobs: int):
 
 def _run_instances(instances, jobs: int, fmt: str, out) -> int:
     _validate(instances)
-    writer = ReportWriter(fmt, out)
+    # the ids graded in t are those with a t cutoff
+    writer = ReportWriter(fmt, out, any(
+        "t_cutoff" in REGISTRY[inst.id].param_names for inst in instances))
     all_match = True
     try:
         for rep in _reports(instances, jobs):

@@ -17,13 +17,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional, Union
 
 from . import qblocks, trinomials
 from .series import LaurentSeries, TrivariateSeries
 from .qblocks import (MonomialArg, div_poch, gaussian_binomial,
-                      inv_poch_infinite, inv_poch_series, poch_finite,
-                      poch_infinite, q_poch)
+                      inv_poch_infinite, inv_poch_series, poch_infinite,
+                      q_poch)
 from .trinomials import (RefinedTParams, TParams, TrinomialParams,
                          refined_trinomial, round_trinomial, t_trinomial)
 
@@ -44,7 +45,7 @@ class IdentityInstance:
 class VerificationReport:
     instance: IdentityInstance
     match: bool
-    first_mismatch: Optional[tuple] = None   # (exponent, lhs_coeff, rhs_coeff)
+    first_mismatch: Optional[tuple] = None   # ([t, x,] exponent, lhs, rhs)
     elapsed_ms: int = 0
     detail: dict = field(default_factory=dict)
 
@@ -259,10 +260,13 @@ def _first_pair_dual_lhs(p, c):
 
 def _first_pair_dual_rhs(p, c):
     L = p["L"]
-    # support of the reversed trinomials forces |j| <= L + 1; the sum has
-    # genuine contributions at negative j
-    return sum(((_t3(-1, L, j) + _t3(-1, L, j + 1)).shift(3 * j * j + j)
-                for j in range(-L - 2, L + 2)), LaurentSeries.zero())
+    # sum_j (T(j) + T(j+1)) q^((3j^2+j)/2): T_{-1}(L, j) is zero past
+    # |j| = L and enters at j and at j - 1, so each is built once
+    out = LaurentSeries.zero()
+    for j in range(-L, L + 1):
+        t = _t3(-1, L, j)
+        out = out + t.shift(3 * j * j + j) + t.shift(3 * j * j - 5 * j + 2)
+    return out
 
 
 def _second_pair_dual_lhs(p, c):
@@ -364,15 +368,23 @@ def _fincap1n_lhs(p, c):
     return _mn_sum(N, _fincap_term(N, 0), _kr1_exp)
 
 
-def _fincap1n_rhs(p, c):
-    N = p["N"]
+def _fincap_rhs(N: int, k: int, a: int, b: int) -> LaurentSeries:
+    """sum_l [N+k, 2l+k]_{q^3} (-q^(a/2); q^6)_{l+k} (-q^(b/2); q^6)_l
+    q^(3 binom(N-2l, 2)) for k in {0, 1}, the products carried from l-1.
+    The terms end at 2l + k = N + k."""
     out = LaurentSeries.zero()
+    poch = LaurentSeries.one().mul_one_minus(-1, a) if k else \
+        LaurentSeries.one()
     for l in range(N // 2 + 1):
-        term = gaussian_binomial(N, 2 * l, 6) * \
-            poch_finite(MonomialArg(-1, 4), 12, l) * \
-            poch_finite(MonomialArg(-1, 8), 12, l)
+        term = gaussian_binomial(N + k, 2 * l + k, 6) * poch
         out = out + term.shift(6 * _binom2(N - 2 * l))
+        poch = poch.mul_one_minus(-1, a + 12 * (l + k)).mul_one_minus(
+            -1, b + 12 * l)
     return out
+
+
+def _fincap1n_rhs(p, c):
+    return _fincap_rhs(p["N"], 0, 4, 8)
 
 
 def _fincap2n_lhs(p, c):
@@ -382,14 +394,7 @@ def _fincap2n_lhs(p, c):
 
 
 def _fincap2n_rhs(p, c):
-    N = p["N"]
-    out = LaurentSeries.zero()
-    for l in range(N // 2 + 1):           # the terms end at 2l + 1 = N + 1
-        term = gaussian_binomial(N + 1, 2 * l + 1, 6) * \
-            poch_finite(MonomialArg(-1, 2), 12, l + 1) * \
-            poch_finite(MonomialArg(-1, 10), 12, l)
-        out = out + term.shift(6 * _binom2(N - 2 * l))
-    return out
+    return _fincap_rhs(p["N"], 1, 2, 10)
 
 
 def _kr1_lhs(p, c):
@@ -517,25 +522,16 @@ def _hierarchy_lhs(p, c):
                 yield (v,) + rest
     for ns in tuples(nu, L):
         Ns = [sum(ns[k:]) for k in range(nu)]   # N_1, ..., N_nu
-        n_nu = ns[-1]
-        Ntot = sum(Ns)
-        for i in range(L - Ns[0] + 1):
-            for m in range(3 * n_nu + 1):
-                if (i + m - Ntot) % 2 != 0:
-                    continue
-                mid_top = 2 * n_nu + (i - Ntot - m) // 2
-                term = gaussian_binomial(L - Ns[0], i, 6) * \
-                    gaussian_binomial(3 * n_nu, m) * \
-                    gaussian_binomial(mid_top, 2 * n_nu, 6)
-                if term.is_zero():
-                    continue
-                for j in range(1, nu):
-                    top = i - sum(Ns[:j]) + ns[j - 1]
-                    term = term * gaussian_binomial(top, ns[j - 1], 6)
-                    if term.is_zero():
-                        break
-                e = m * m + 3 * (i * i + sum(N * N for N in Ns))
-                out = out + term.shift(e)
+        heads = list(accumulate(Ns))            # N_1 + ... + N_j
+        # the sum over m is outlook1's LHS at (i - heads[-1], n_nu); below
+        # i = heads[-1] each of its top indices is below 2 n_nu, so it is
+        # zero, and from there on no factor is zero
+        for i in range(heads[-1], L - Ns[0] + 1):
+            term = _outlook1_lhs({"L": i - heads[-1], "M": ns[-1]}, None) * \
+                gaussian_binomial(L - Ns[0], i, 6)
+            for n, head in zip(ns, heads[:-1]):
+                term = term * gaussian_binomial(i - head + n, n, 6)
+            out = out + term.shift(3 * (i * i + sum(N * N for N in Ns)))
     return out
 
 

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, report schema, determinism."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -9,6 +10,7 @@ import pytest
 
 from qtrin import cli
 from qtrin.identities import REGISTRY, IdentityInstance, VerificationReport
+from qtrin.series import LaurentSeries, TrivariateSeries
 
 
 def run(argv):
@@ -139,6 +141,70 @@ class TestShortenedWindow:
             "error: third_pair: RHS is known only to 4")
 
 
+class TestGradedMismatch:
+    """A mismatch on a side in (t, q) or (t, x, q) is a full record that
+    also names its t-degree and x exponent, in every format."""
+
+    @staticmethod
+    def plant(monkeypatch, id, key):
+        """Add q to the RHS entry at ``key`` = (t_degree, x_exponent)."""
+        base = REGISTRY[id].rhs
+
+        def rhs(p, c):
+            side = base(p, c)
+            entries = dict(side.entries)
+            entries[key] = side.entry(*key) + LaurentSeries({2: 1})
+            return TrivariateSeries(entries, t_cutoff=side.t_cutoff,
+                                    q_cutoff=side.q_cutoff)
+        monkeypatch.setitem(REGISTRY, id,
+                            dataclasses.replace(REGISTRY[id], rhs=rhs))
+
+    ARGV = ["verify", "--id", "genfun_products", "--param", "pair=1",
+            "--param", "t_cutoff=3", "--cutoff", "8", "--format"]
+
+    def test_json(self, monkeypatch, capsys):
+        self.plant(monkeypatch, "genfun_products", (1, 0))
+        code, text = run(self.ARGV + ["json"])
+        assert (code, capsys.readouterr().err) == (1, "")
+        rec = json.loads(text)[0]
+        assert rec["match"] is False
+        assert rec["first_mismatch"] == {"t_degree": 1, "x_exponent": 0,
+                                         "exponent_halves": 2, "lhs": 1,
+                                         "rhs": 2}
+
+    def test_csv(self, monkeypatch, capsys):
+        self.plant(monkeypatch, "genfun_products", (1, 0))
+        code, text = run(self.ARGV + ["csv"])
+        assert (code, capsys.readouterr().err) == (1, "")
+        header, row = list(csv.reader(io.StringIO(text)))
+        got = dict(zip(header, row))
+        assert [got[k] for k in ("match", "mismatch_t_degree",
+                                 "mismatch_x_exponent",
+                                 "mismatch_exponent_halves", "mismatch_lhs",
+                                 "mismatch_rhs")] == \
+            ["False", "1", "0", "2", "1", "2"]
+
+    def test_text(self, monkeypatch, capsys):
+        self.plant(monkeypatch, "genfun_products", (1, 0))
+        code, text = run(self.ARGV + ["text"])
+        assert (code, capsys.readouterr().err) == (1, "")
+        assert text.startswith("FAIL genfun_products")
+        assert text.rstrip().endswith(
+            "first mismatch {'t_degree': 1, 'x_exponent': 0, "
+            "'exponent_halves': 2, 'lhs': 1, 'rhs': 2}")
+
+    def test_sweep_in_x(self, monkeypatch, capsys):
+        self.plant(monkeypatch, "lemma_genfun", (1, -1))
+        code, text = run(["sweep", "--id", "lemma_genfun", "--range",
+                          "n=0..1", "--param", "t_cutoff=2", "--cutoff", "8"])
+        assert (code, capsys.readouterr().err) == (1, "")
+        for rec in json.loads(text):
+            mism = rec["first_mismatch"]
+            assert (mism["t_degree"], mism["x_exponent"],
+                    mism["exponent_halves"]) == (1, -1, 2)
+            assert mism["rhs"] == mism["lhs"] + 1
+
+
 class TestSweep:
     def test_csv_rows(self):
         code, text = run(["sweep", "--id", "thm71", "--range", "M=0..8",
@@ -146,7 +212,10 @@ class TestSweep:
         assert code == 0
         lines = text.strip().splitlines()
         assert len(lines) == 10    # header + 9 rows
-        assert lines[0].startswith("id,params,cutoff_halves,match")
+        # a series in q has no columns for t and x
+        assert lines[0] == ("id,params,cutoff_halves,match,"
+                            "mismatch_exponent_halves,mismatch_lhs,"
+                            "mismatch_rhs,elapsed_ms")
         assert all(",True," in line for line in lines[1:])
 
     def test_requires_range(self):

@@ -15,7 +15,7 @@ from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
                               bailey_sides, cache_sizes, clear_caches,
                               compute_side, verify_identity, verify_lemma31,
                               verify_limit_stabilization)
-from qtrin.qblocks import q_poch
+from qtrin.qblocks import gaussian_binomial, q_poch
 from qtrin.series import LaurentSeries, TrivariateSeries, exact_divide
 
 
@@ -387,6 +387,54 @@ class TestStabilization:
     def test_negative_window_rejected(self, id):
         with pytest.raises(ValueError, match="window"):
             verify_limit_stabilization(id, -4)
+
+
+def nested_loop_hierarchy_lhs(p, c):
+    """The hierarchy LHS summed over every (n_1..n_nu), i and m, with the
+    m-sum of outlook1's LHS written out: the reference for the builder
+    that calls it."""
+    nu, L = p["nu"], p["L"]
+    out = LaurentSeries.zero()
+    # enumerate the inner multiplicities n_1..n_nu with N_1 <= L
+    def tuples(k, budget):
+        if k == 0:
+            yield ()
+            return
+        for v in range(budget + 1):
+            for rest in tuples(k - 1, budget - v):
+                yield (v,) + rest
+    for ns in tuples(nu, L):
+        Ns = [sum(ns[k:]) for k in range(nu)]   # N_1, ..., N_nu
+        n_nu = ns[-1]
+        Ntot = sum(Ns)
+        for i in range(L - Ns[0] + 1):
+            for m in range(3 * n_nu + 1):
+                if (i + m - Ntot) % 2 != 0:
+                    continue
+                mid_top = 2 * n_nu + (i - Ntot - m) // 2
+                term = gaussian_binomial(L - Ns[0], i, 6) * \
+                    gaussian_binomial(3 * n_nu, m) * \
+                    gaussian_binomial(mid_top, 2 * n_nu, 6)
+                if term.is_zero():
+                    continue
+                for j in range(1, nu):
+                    top = i - sum(Ns[:j]) + ns[j - 1]
+                    term = term * gaussian_binomial(top, ns[j - 1], 6)
+                    if term.is_zero():
+                        break
+                e = m * m + 3 * (i * i + sum(N * N for N in Ns))
+                out = out + term.shift(e)
+    return out
+
+
+class TestHierarchy:
+    @pytest.mark.parametrize("nu, L_max", [(1, 9), (2, 9), (3, 9), (4, 8),
+                                           (5, 8)])
+    def test_matches_nested_loops(self, nu, L_max):
+        for L in range(L_max + 1):
+            p = {"nu": nu, "L": L}
+            assert REGISTRY["hierarchy"].lhs(p, None) == \
+                nested_loop_hierarchy_lhs(p, None), p
 
 
 class TestEmpiricalPositivity:

@@ -57,7 +57,7 @@ SCHEMAS = {
     "genfun_products": truncated(16, pair=(0, 3), t_cutoff=(-1, 4)),
     "lemma_genfun": truncated(16, n=(-5, 5), t_cutoff=(-1, 4)),
     "outlook1": exact(L=(-1, 4), M=(-1, 2)),
-    "hierarchy": exact(nu=(0, 2), L=(-1, 3)),
+    "hierarchy": exact(nu=(0, 3), L=(-1, 3)),
 }
 
 
