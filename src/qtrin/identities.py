@@ -79,21 +79,44 @@ def _outlook2_exp(m: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ratio4(M: int, m: int, n: int) -> LaurentSeries:
-    """(q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_{M-2n-m}), divided
-    one denominator factor at a time in base q^(1/2), then scaled to q.
-    Every partial quotient is a polynomial, so a remainder still raises."""
+    """(q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_d), d = M - 2n - m;
+    zero when an index is negative.  Carried from its predecessor, which
+    the sums over m and n have just built:
+      d = 0:          _ratio3(M, n), the same object;
+      m >= 1:         _ratio4(M, m-1, n) (1-q^(3(d+1))) / (1-q^m);
+      m = 0, n >= 1:  _ratio4(M, 0, n-1) (1-q^(3(d+2))) (1-q^(3(d+1)))
+                      / (1-q^(3n));
+      (M, 0, 0):      1.
+    Each step multiplies before it divides, so every partial result is a
+    polynomial and a remainder still raises."""
     d = M - 2 * n - m
     if m < 0 or n < 0 or d < 0:
         return LaurentSeries.zero()
-    out = div_poch(div_poch(q_poch(M, 3), m, 1), n, 3)
-    return div_poch(out, d, 3).scale_exponents(2)
+    if d == 0:
+        return _ratio3(M, n)
+    if m >= 1:
+        return _ratio4(M, m - 1, n).mul_one_minus(1, 6 * (d + 1)) \
+            .div_one_minus(1, 2 * m)
+    if n >= 1:
+        return _ratio4(M, 0, n - 1).mul_one_minus(1, 6 * (d + 2)) \
+            .mul_one_minus(1, 6 * (d + 1)).div_one_minus(1, 6 * n)
+    return LaurentSeries.one()
 
 
 @lru_cache(maxsize=None)
 def _ratio3(L: int, n: int) -> LaurentSeries:
-    """(q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n); zero when L-2n < 0.
-    The cached value is the one _ratio4 holds, (q^3;q^3)_0 being 1."""
-    return _ratio4(L, L - 2 * n, n)
+    """(q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n); zero when n < 0 or
+    L - 2n < 0.  At n = 0 it is (q^3;q^3)_L divided by (q;q)_L one factor
+    at a time in base q^(1/2), then scaled to q; for n >= 1 it is
+    _ratio3(L, n-1) (1-q^(L-2n+2)) (1-q^(L-2n+1)) / (1-q^(3n)), every
+    partial result a polynomial."""
+    r = L - 2 * n
+    if n < 0 or r < 0:
+        return LaurentSeries.zero()
+    if n == 0:
+        return div_poch(q_poch(L, 3), L, 1).scale_exponents(2)
+    return _ratio3(L, n - 1).mul_one_minus(1, 2 * (r + 2)) \
+        .mul_one_minus(1, 2 * (r + 1)).div_one_minus(1, 6 * n)
 
 
 # The lru_caches of the exact path, held as the cached callables
@@ -777,11 +800,16 @@ def compute_side(instance: IdentityInstance, side: str) -> Side:
 
 def verify_identity(instance: IdentityInstance) -> VerificationReport:
     """Compare both sides through ``instance.cutoff`` (everywhere in exact
-    mode); raises ValueError if a side is known only below it."""
+    mode); raises ValueError if a side is known only below it.  The
+    report's detail holds the milliseconds spent building each side and
+    comparing them (``lhs_ms``, ``rhs_ms``, ``compare_ms``)."""
     start = time.monotonic()
     d = _resolve(instance)
+    t0 = time.perf_counter()
     lhs = d.lhs(instance.params, instance.cutoff)
+    t1 = time.perf_counter()
     rhs = d.rhs(instance.params, instance.cutoff)
+    t2 = time.perf_counter()
     for name, side in (("LHS", lhs), ("RHS", rhs)):
         cut = side.q_cutoff if isinstance(side, TrivariateSeries) \
             else side.cutoff
@@ -791,8 +819,11 @@ def verify_identity(instance: IdentityInstance) -> VerificationReport:
             raise ValueError(f"{instance.id}: {name} is known only to "
                              f"{cut}, short of the requested {want}")
     mism = lhs.first_mismatch(rhs)
+    t3 = time.perf_counter()
     elapsed = int((time.monotonic() - start) * 1000)
-    return VerificationReport(instance, mism is None, mism, elapsed)
+    detail = {"lhs_ms": 1000 * (t1 - t0), "rhs_ms": 1000 * (t2 - t1),
+              "compare_ms": 1000 * (t3 - t2)}
+    return VerificationReport(instance, mism is None, mism, elapsed, detail)
 
 
 def verify_lemma31(n: int, t_cutoff: int, q_cutoff: int) -> VerificationReport:

@@ -269,7 +269,9 @@ class LaurentSeries:
         """Quotient by 1 - sign * q^(exp/2), exp >= 1: the strided prefix
         sum r[n] = self[n] + sign * r[n - exp].  With n slots on the grid
         and exp d slots apart, it runs block by block (n / d steps) when
-        d * d > n, else one running sum per residue class (d steps).  A
+        d * d > n and 20 * d > n, else one running sum per residue class
+        (d steps): on long lists a class's running sum costs less per
+        entry than a block, so blocks win only once d nears n / 20.  A
         truncated series keeps its cutoff; an exact one must be a
         multiple, else the non-zero remainder raises ValueError."""
         if exp < 1:
@@ -281,7 +283,7 @@ class LaurentSeries:
         top = self.max_exp() if self.cutoff is None else self.cutoff
         n = (top - self._lo) // g + 1
         r = _spread(self._c, self._stride // g or 1, 0, n)
-        if d * d > n:
+        if d * d > n and 20 * d > n:
             op = add if sign == 1 else sub
             for k in range(d, n, d):
                 # map stops with the shorter slice at the end of r

@@ -125,6 +125,16 @@ class TestVerifyIdentity:
         assert rep.first_mismatch is None
         assert rep.elapsed_ms >= 0
 
+    @pytest.mark.parametrize("inst", [
+        IdentityInstance("first_pair", {"L": 4}),
+        IdentityInstance("kr1", {}, q(10)),
+        IdentityInstance("lemma_genfun", {"n": 1, "t_cutoff": 2}, q(5))])
+    def test_detail_times_each_stage(self, inst):
+        rep = verify_identity(inst)
+        assert rep.match
+        assert set(rep.detail) == {"lhs_ms", "rhs_ms", "compare_ms"}
+        assert all(v >= 0 for v in rep.detail.values())
+
 
 class TestPerturbationFixture:
     """The harness must locate a planted defect, not just rubber-stamp."""
@@ -328,6 +338,32 @@ class TestRatios:
                 assert r is identities._ratio4(L, L - 2 * n, n)
                 assert r == exact_divide(
                     q_poch(L, 6), q_poch(L - 2 * n, 2) * q_poch(n, 6))
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just(3), st.integers(-1, 14), st.integers(-2, 9)),
+        st.tuples(st.just(4), st.integers(0, 14), st.integers(-2, 15),
+                  st.integers(-2, 8))), min_size=1, max_size=10))
+    # descending indices, then a d = 0 entry reached through _ratio4 first
+    @example([(3, 14, 7), (4, 14, 9, 1), (4, 14, 0, 2), (4, 9, 1, 4),
+              (3, 9, 4), (4, 12, 3, 0), (3, 0, 0)])
+    @settings(max_examples=60, deadline=None)
+    def test_any_request_order(self, requests):
+        # a carried value must not depend on what earlier requests cached
+        clear_caches()
+        for kind, M, *mn in requests:
+            if kind == 3:
+                (n,) = mn
+                m = M - 2 * n
+                got = identities._ratio3(M, n)
+            else:
+                m, n = mn
+                got = identities._ratio4(M, m, n)
+            d = M - 2 * n - m
+            if min(m, n, d) < 0:
+                assert got.is_zero(), (kind, M, m, n)
+            else:
+                den = q_poch(m, 2) * q_poch(n, 6) * q_poch(d, 6)
+                assert got == exact_divide(q_poch(M, 6), den), (kind, M, m, n)
 
     def test_out_of_range_is_zero(self):
         assert identities._ratio3(4, -1).is_zero()
