@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from typing import Callable, Optional, Union
 
 from . import qblocks, trinomials
@@ -156,21 +156,26 @@ def _t3(n: int, L: int, a: int) -> LaurentSeries:
     return t_trinomial(TParams(n, L, a, step=6))
 
 
-def _double_sum(shift_fn: Callable[[int, int], int], cutoff: int) -> LaurentSeries:
-    """sum_{m,n>=0} q^(shift/2) / ((q;q)_m (q^3;q^3)_n), truncated.
+def _double_sum(cutoff: int, *exps: Callable[[int, int], int]
+                ) -> LaurentSeries:
+    """sum_{m,n>=0} q^(e(m,n)/2) / ((q;q)_m (q^3;q^3)_n), truncated, one
+    term for each exponent e in ``exps`` (half-units).
 
-    ``shift_fn(m, n)`` gives the monomial exponent in half-units; it must
-    grow quadratically so only finitely many terms land below the cutoff.
+    Each exponent must grow quadratically so only finitely many terms land
+    below the cutoff; the loops run while the lowest of them does.
     """
+    def low(m, n):
+        return min(e(m, n) for e in exps)
     out = LaurentSeries.zero(cutoff)
     inv_m = LaurentSeries.one().truncate(cutoff)        # 1/(q;q)_m
     m = 0
-    while shift_fn(m, 0) <= cutoff or m == 0:
+    while low(m, 0) <= cutoff or m == 0:
         inv_mn = inv_m                       # 1/((q;q)_m (q^3;q^3)_n)
         n = 0
-        while shift_fn(m, n) <= cutoff:
-            e = shift_fn(m, n)
-            out = out + inv_mn.truncate(cutoff - e).shift(e)
+        while low(m, n) <= cutoff:
+            for e in exps:
+                x = e(m, n)
+                out = out + inv_mn.truncate(cutoff - x).shift(x)
             n += 1
             inv_mn = inv_mn.div_one_minus(1, 6 * n)
         m += 1
@@ -180,17 +185,13 @@ def _double_sum(shift_fn: Callable[[int, int], int], cutoff: int) -> LaurentSeri
     return out
 
 
-def _cap_product_first(cutoff: int) -> LaurentSeries:
-    """(-q^2, -q^4; q^6)_inf (-q^3; q^3)_inf truncated."""
-    out = poch_infinite(MonomialArg(-1, 4), 12, cutoff)
-    out = poch_infinite(MonomialArg(-1, 8), 12, cutoff, out)
-    return poch_infinite(MonomialArg(-1, 6), 6, cutoff, out)
-
-
-def _cap_product_second(cutoff: int) -> LaurentSeries:
-    """(-q, -q^5; q^6)_inf (-q^3; q^3)_inf truncated."""
-    out = poch_infinite(MonomialArg(-1, 2), 12, cutoff)
-    out = poch_infinite(MonomialArg(-1, 10), 12, cutoff, out)
+def _cap_products(cutoff: int, *pairs: tuple[int, int]) -> LaurentSeries:
+    """sum over (a, b) in ``pairs`` of (-q^(a/2), -q^(b/2); q^6)_inf, times
+    (-q^3; q^3)_inf once, truncated."""
+    out = LaurentSeries.zero(cutoff)
+    for a, b in pairs:
+        out = out + poch_infinite(MonomialArg(-1, b), 12, cutoff,
+                                  poch_infinite(MonomialArg(-1, a), 12, cutoff))
     return poch_infinite(MonomialArg(-1, 6), 6, cutoff, out)
 
 
@@ -247,11 +248,12 @@ def _first_pair_lhs(p, c):
 def _first_pair_rhs(p, c):
     L = p["L"]
     out = LaurentSeries.zero(c)
-    # support detection: the second family is nonzero out to j = L + 1,
-    # one past the symmetric range
-    for j in range(-L - 1, L + 2):
-        out = out + _rt3(L, j + 1, j, 2 * (L + j + 1), c)
-        out = out + _rt3(L, j, j - 1, 2 * (L - j + 1), c)
+    # the second family's (L, j; j-1) at j + 1 is the first family's
+    # (L, j+1; j), so each is built once and enters at both exponents
+    for j in range(-L, L + 1):
+        lo, hi = sorted((2 * (L + j + 1), 2 * (L - j)))
+        t = _rt3(L, j + 1, j, lo, c)
+        out = out + t + t.shift(hi - lo)
     return out
 
 
@@ -421,27 +423,27 @@ def _fincap2n_rhs(p, c):
 
 
 def _kr1_lhs(p, c):
-    return _double_sum(_kr1_exp, c)
+    return _double_sum(c, _kr1_exp)
 
 
 def _kr1_rhs(p, c):
-    return _cap_product_first(c)
+    return _cap_products(c, (4, 8))
 
 
 def _cap2_lhs(p, c):
-    return _double_sum(_cap2_exp_a, c) + _double_sum(_cap2_exp_b, c)
+    return _double_sum(c, _cap2_exp_a, _cap2_exp_b)
 
 
 def _cap2_rhs(p, c):
-    return _cap_product_second(c)
+    return _cap_products(c, (2, 10))
 
 
 def _outlook2_lhs(p, c):
-    return _double_sum(_outlook2_exp, c)
+    return _double_sum(c, _outlook2_exp)
 
 
 def _outlook2_rhs(p, c):
-    return _cap_product_first(c) + _cap_product_second(c)
+    return _cap_products(c, (4, 8), (2, 10))
 
 
 def _qbin_lhs(p, c):
@@ -535,16 +537,11 @@ def _outlook1_rhs(p, c):
 def _hierarchy_lhs(p, c):
     nu, L = p["nu"], p["L"]
     out = LaurentSeries.zero()
-    # enumerate the inner multiplicities n_1..n_nu with N_1 <= L
-    def tuples(k, budget):
-        if k == 0:
-            yield ()
-            return
-        for v in range(budget + 1):
-            for rest in tuples(k - 1, budget - v):
-                yield (v,) + rest
-    for ns in tuples(nu, L):
-        Ns = [sum(ns[k:]) for k in range(nu)]   # N_1, ..., N_nu
+    # N_1 >= ... >= N_nu >= 0 with N_1 <= L, and the inner multiplicities
+    # n_k = N_k - N_(k+1), N_(nu+1) = 0
+    for Ns in combinations_with_replacement(range(L + 1), nu):
+        Ns = Ns[::-1]
+        ns = [N - M for N, M in zip(Ns, Ns[1:] + (0,))]
         heads = list(accumulate(Ns))            # N_1 + ... + N_j
         # the sum over m is outlook1's LHS at (i - heads[-1], n_nu); below
         # i = heads[-1] each of its top indices is below 2 n_nu, so it is

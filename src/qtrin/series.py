@@ -333,14 +333,6 @@ class LaurentSeries:
         cut = _min_cutoff(self.cutoff, cutoff)
         return self._head(self._upto(cut), cut)
 
-    def with_cutoff(self, cutoff: Optional[int]) -> "LaurentSeries":
-        """The same terms, known through ``cutoff`` (None: exact).  The
-        caller vouches for every coefficient between the two cutoffs, e.g.
-        a series in q^k known through k * c is known through k * c + k - 1."""
-        if cutoff is not None and self._c and self.max_exp() > cutoff:
-            raise ValueError(f"a term lies above the cutoff {cutoff}")
-        return _new(self._lo, self._stride, self._c, cutoff)
-
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -27,7 +27,8 @@ binomials.
 
 A truncated round trinomial is built from its summands instead: each, a
 q-multinomial coefficient, is carried from the one before it by two
-factors 1 - q^k multiplied and two divided out, below the cutoff.
+factors 1 - q_step^k multiplied and two divided out, below the cutoff
+and directly in base q_step.
 """
 from __future__ import annotations
 
@@ -85,33 +86,31 @@ class RefinedTParams:
 def _round_sum(L: int, b: int, a: int, step: int,
                cutoff: int) -> LaurentSeries:
     # Summand n is q^(n(n+b)) M_n, n0 <= n <= n1, with the multinomial
-    # M_n = (q)_L / ((q)_n (q)_{n+a} (q)_{L-2n-a}); the sum is built in base
-    # q^(1/2) (exponents of q_step) and rescaled once at the end.
+    # M_n = (q)_L / ((q)_n (q)_{n+a} (q)_{L-2n-a}), built in half-units of
+    # base q_step: exponent k of q_step is k * step.
     n0, n1 = max(0, -a), (L - a) // 2
-    shifts = [n * (n + b) for n in range(n0, n1 + 1)]
-    top = cutoff // step
+    shifts = [n * (n + b) * step for n in range(n0, n1 + 1)]
     # the shifts are convex in n: past the last summand that starts below
     # the cutoff, none does
-    while shifts and shifts[-1] > top:
+    while shifts and shifts[-1] > cutoff:
         shifts.pop()
     if not shifts:
         return LaurentSeries.zero(cutoff)
     # M_n0 = [L, |a|], carried below the lowest cutoff any summand needs
-    m = gaussian_binomial(L, abs(a), 1, top - min(shifts))
-    out = LaurentSeries.zero(top)
+    m = gaussian_binomial(L, abs(a), step, cutoff - min(shifts))
+    out = LaurentSeries.zero(cutoff)
     for n, sh in enumerate(shifts, start=n0):
         if n > n0:
             # M_n = M_{n-1} (1-q^r)(1-q^(r-1)) / ((1-q^n)(1-q^(n+a))) with
             # r = L-2n+2-a
             r = L - 2 * n + 2 - a
-            m = m.mul_one_minus(1, r).div_one_minus(1, n) \
-                .mul_one_minus(1, r - 1).div_one_minus(1, n + a)
-        if sh <= top:
-            # the sum's cutoff truncates each summand at top - sh
+            m = m.mul_one_minus(1, r * step).div_one_minus(1, n * step) \
+                .mul_one_minus(1, (r - 1) * step) \
+                .div_one_minus(1, (n + a) * step)
+        if sh <= cutoff:
+            # the sum's cutoff truncates each summand at cutoff - sh
             out = out + m.shift(sh)
-    # the exponents are multiples of step, so a sum known through q_step^top
-    # is known through the cutoff
-    return out.scale_exponents(step).with_cutoff(cutoff)
+    return out
 
 
 def _next_row(k: int, prev: dict) -> dict:

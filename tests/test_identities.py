@@ -218,6 +218,29 @@ class TestCaches:
         assert first[0] == (True, None)
 
 
+class TestBuildsOnce:
+    """A sum builds each of its q-blocks once and shifts it to every
+    exponent it enters at: one round trinomial per j in the first pair's
+    RHS, one double sum for both exponents of cap2, and (-q^3;q^3)_inf
+    once for both Capparelli products."""
+
+    @pytest.mark.parametrize("id, side, params, cutoff, name, calls", [
+        ("first_pair", "RHS", {"L": 10}, None, "round_trinomial", 21),
+        ("cap2", "LHS", {}, q(30), "_double_sum", 1),
+        ("outlook2", "RHS", {}, q(30), "poch_infinite", 5),
+    ])
+    def test_build_count(self, monkeypatch, id, side, params, cutoff, name,
+                         calls):
+        fn, seen = getattr(identities, name), []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(identities, name, counted)
+        compute_side(IdentityInstance(id, params, cutoff), side)
+        assert len(seen) == calls
+
+
 class TestBailey:
     def test_empty_alpha(self):
         lhs, rhs = bailey_sides(0, {}, 3)
@@ -471,6 +494,11 @@ class TestHierarchy:
             p = {"nu": nu, "L": L}
             assert REGISTRY["hierarchy"].lhs(p, None) == \
                 nested_loop_hierarchy_lhs(p, None), p
+
+    def test_deep_nu(self):
+        # the enumeration must not take one stack frame per level
+        inst = IdentityInstance("hierarchy", {"nu": 1500, "L": 1})
+        assert verify_identity(inst).match
 
 
 class TestEmpiricalPositivity:

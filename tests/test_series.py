@@ -425,10 +425,3 @@ class TestCanonicalForm:
         assert (p - p) == LaurentSeries.zero(9)
         assert hash(p - p) == hash(LaurentSeries.zero(9))
         assert (p - p).terms == {}
-
-    def test_with_cutoff(self):
-        # a series in q^3 known through q^(6/2) is known through q^(8/2)
-        p = S({0: 1, 3: 1}, 3).scale_exponents(2)
-        assert p.cutoff == 6 and p.with_cutoff(7) == S({0: 1, 6: 1}, 7)
-        with pytest.raises(ValueError):
-            p.with_cutoff(5)
