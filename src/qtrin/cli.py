@@ -209,8 +209,10 @@ def _validate(instances):
 
 
 def _reports(instances, jobs: int):
-    # fork starts every worker at the first submit: no more than needed
-    workers = min(jobs, len(instances), os.cpu_count() or 1)
+    # fork starts every worker at the first submit: no more than needed;
+    # one job never asks how many cores there are
+    workers = jobs if jobs <= 1 else \
+        min(jobs, len(instances), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(verify_identity, instances)
         return

@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 from typing import Callable, Optional, Union
 
 from . import qblocks, trinomials
@@ -88,16 +88,21 @@ def _ratio4(M: int, m: int, n: int) -> LaurentSeries:
                       / (1-q^(3n));
       (M, 0, 0):      1.
     Each step multiplies before it divides, so every partial result is a
-    polynomial and a remainder still raises."""
+    polynomial and a remainder still raises.  The chain is walked up to the
+    predecessor first (see _ratio3)."""
     d = M - 2 * n - m
     if m < 0 or n < 0 or d < 0:
         return LaurentSeries.zero()
     if d == 0:
         return _ratio3(M, n)
     if m >= 1:
+        for j in range(m - 1):
+            _ratio4(M, j, n)
         return _ratio4(M, m - 1, n).mul_one_minus(1, 6 * (d + 1)) \
             .div_one_minus(1, 2 * m)
     if n >= 1:
+        for k in range(n - 1):
+            _ratio4(M, 0, k)
         return _ratio4(M, 0, n - 1).mul_one_minus(1, 6 * (d + 2)) \
             .mul_one_minus(1, 6 * (d + 1)).div_one_minus(1, 6 * n)
     return LaurentSeries.one()
@@ -109,12 +114,16 @@ def _ratio3(L: int, n: int) -> LaurentSeries:
     L - 2n < 0.  At n = 0 it is (q^3;q^3)_L divided by (q;q)_L one factor
     at a time in base q^(1/2), then scaled to q; for n >= 1 it is
     _ratio3(L, n-1) (1-q^(L-2n+2)) (1-q^(L-2n+1)) / (1-q^(3n)), every
-    partial result a polynomial."""
+    partial result a polynomial.  The chain is walked up from its head to
+    the predecessor first, so each entry built finds its own predecessor
+    cached: a cold request far down the chain nests no call per step."""
     r = L - 2 * n
     if n < 0 or r < 0:
         return LaurentSeries.zero()
     if n == 0:
         return div_poch(q_poch(L, 3), L, 1).scale_exponents(2)
+    for k in range(n - 1):
+        _ratio3(L, k)
     return _ratio3(L, n - 1).mul_one_minus(1, 2 * (r + 2)) \
         .mul_one_minus(1, 2 * (r + 1)).div_one_minus(1, 6 * n)
 
@@ -188,10 +197,10 @@ def _double_sum(cutoff: int, *exps: Callable[[int, int], int]
 def _cap_products(cutoff: int, *pairs: tuple[int, int]) -> LaurentSeries:
     """sum over (a, b) in ``pairs`` of (-q^(a/2), -q^(b/2); q^6)_inf, times
     (-q^3; q^3)_inf once, truncated."""
-    out = LaurentSeries.zero(cutoff)
-    for a, b in pairs:
-        out = out + poch_infinite(MonomialArg(-1, b), 12, cutoff,
-                                  poch_infinite(MonomialArg(-1, a), 12, cutoff))
+    out = LaurentSeries.sum(
+        (poch_infinite(MonomialArg(-1, b), 12, cutoff,
+                       poch_infinite(MonomialArg(-1, a), 12, cutoff))
+         for a, b in pairs), cutoff)
     return poch_infinite(MonomialArg(-1, 6), 6, cutoff, out)
 
 
@@ -207,23 +216,19 @@ def _ratio3_sum(L: int, sign: int, *exps: Callable[[int], int]
                 ) -> LaurentSeries:
     """sum_n sign^n (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n) q^(e(n)/2),
     one term for each exponent e in ``exps`` (half-units)."""
-    out = LaurentSeries.zero()
-    for n in range(L // 2 + 1):
-        r = _ratio3(L, n) if sign ** n > 0 else -_ratio3(L, n)
-        out = sum((r.shift(e(n)) for e in exps), out)
-    return out
+    signed = ((n, _ratio3(L, n) if sign ** n > 0 else -_ratio3(L, n))
+              for n in range(L // 2 + 1))
+    return LaurentSeries.sum(r.shift(e(n)) for n, r in signed for e in exps)
 
 
 def _mn_sum(M: int, term: Callable[[int, int], LaurentSeries],
             *exps: Callable[[int, int], int]) -> LaurentSeries:
     """sum over m, n >= 0 with m + 2n <= M of term(m, n) q^(e(m, n)/2),
     one term for each exponent e in ``exps`` (half-units)."""
-    out = LaurentSeries.zero()
-    for n in range(M // 2 + 1):
-        for m in range(M - 2 * n + 1):
-            t = term(m, n)
-            out = sum((t.shift(e(m, n)) for e in exps), out)
-    return out
+    terms = (((m, n), term(m, n)) for n in range(M // 2 + 1)
+             for m in range(M - 2 * n + 1))
+    return LaurentSeries.sum(t.shift(e(m, n)) for (m, n), t in terms
+                             for e in exps)
 
 
 def _ratio4_sum(M: int, *exps: Callable[[int, int], int]) -> LaurentSeries:
@@ -247,14 +252,14 @@ def _first_pair_lhs(p, c):
 
 def _first_pair_rhs(p, c):
     L = p["L"]
-    out = LaurentSeries.zero(c)
     # the second family's (L, j; j-1) at j + 1 is the first family's
     # (L, j+1; j), so each is built once and enters at both exponents
-    for j in range(-L, L + 1):
-        lo, hi = sorted((2 * (L + j + 1), 2 * (L - j)))
-        t = _rt3(L, j + 1, j, lo, c)
-        out = out + t + t.shift(hi - lo)
-    return out
+    def terms():
+        for j in range(-L, L + 1):
+            lo, hi = sorted((2 * (L + j + 1), 2 * (L - j)))
+            t = _rt3(L, j + 1, j, lo, c)
+            yield from (t, t.shift(hi - lo))
+    return LaurentSeries.sum(terms(), c)
 
 
 def _second_pair_lhs(p, c):
@@ -263,8 +268,8 @@ def _second_pair_lhs(p, c):
 
 def _second_pair_rhs(p, c):
     L = p["L"]
-    return sum((_rt3(L, j - 1, j, 2 * (2 * L - j), c)
-                for j in range(-L, L + 1)), LaurentSeries.zero(c))
+    return LaurentSeries.sum((_rt3(L, j - 1, j, 2 * (2 * L - j), c)
+                              for j in range(-L, L + 1)), c)
 
 
 def _third_pair_lhs(p, c):
@@ -273,8 +278,8 @@ def _third_pair_lhs(p, c):
 
 def _third_pair_rhs(p, c):
     L = p["L"]
-    return sum((_rt3(L, j, j, 2 * (L - j), c) for j in range(-L, L + 1)),
-               LaurentSeries.zero(c))
+    return LaurentSeries.sum((_rt3(L, j, j, 2 * (L - j), c)
+                              for j in range(-L, L + 1)), c)
 
 
 def _first_pair_dual_lhs(p, c):
@@ -287,11 +292,9 @@ def _first_pair_dual_rhs(p, c):
     L = p["L"]
     # sum_j (T(j) + T(j+1)) q^((3j^2+j)/2): T_{-1}(L, j) is zero past
     # |j| = L and enters at j and at j - 1, so each is built once
-    out = LaurentSeries.zero()
-    for j in range(-L, L + 1):
-        t = _t3(-1, L, j)
-        out = out + t.shift(3 * j * j + j) + t.shift(3 * j * j - 5 * j + 2)
-    return out
+    ts = ((j, _t3(-1, L, j)) for j in range(-L, L + 1))
+    return LaurentSeries.sum(t.shift(e) for j, t in ts
+                             for e in (3 * j * j + j, 3 * j * j - 5 * j + 2))
 
 
 def _second_pair_dual_lhs(p, c):
@@ -301,8 +304,8 @@ def _second_pair_dual_lhs(p, c):
 
 def _second_pair_dual_rhs(p, c):
     L = p["L"]
-    return sum((_t3(1, L, j).shift(3 * j * j - j) for j in range(-L, L + 1)),
-               LaurentSeries.zero())
+    return LaurentSeries.sum(_t3(1, L, j).shift(3 * j * j - j)
+                             for j in range(-L, L + 1))
 
 
 def _third_pair_dual_lhs(p, c):
@@ -312,8 +315,8 @@ def _third_pair_dual_lhs(p, c):
 
 def _third_pair_dual_rhs(p, c):
     L = p["L"]
-    return sum((_t3(0, L, j).shift(3 * j * j + 2 * j)
-                for j in range(-L, L + 1)), LaurentSeries.zero())
+    return LaurentSeries.sum(_t3(0, L, j).shift(3 * j * j + 2 * j)
+                             for j in range(-L, L + 1))
 
 
 def _t_sum_sides(kind: int):
@@ -355,8 +358,9 @@ def _thm71_lhs(p, c):
 
 def _thm71_rhs(p, c):
     M = p["M"]
-    return sum((gaussian_binomial(2 * M, M + j, 6).shift(2 * (3 * j * j + j))
-                for j in range(-M, M + 1)), LaurentSeries.zero())
+    return LaurentSeries.sum(
+        gaussian_binomial(2 * M, M + j, 6).shift(2 * (3 * j * j + j))
+        for j in range(-M, M + 1))
 
 
 def _thm72_lhs(p, c):
@@ -367,12 +371,9 @@ def _thm72_lhs(p, c):
 
 def _thm72_rhs(p, c):
     M = p["M"]
-    out = LaurentSeries.zero()
-    for j in range(-M, M + 1):
-        b = gaussian_binomial(2 * M, M + j, 6)
-        out = out + b.shift(2 * (3 * j * j - 2 * j)) + \
-            b.shift(2 * (3 * j * j + j))
-    return out
+    bs = ((j, gaussian_binomial(2 * M, M + j, 6)) for j in range(-M, M + 1))
+    return LaurentSeries.sum(b.shift(2 * e) for j, b in bs
+                             for e in (3 * j * j - 2 * j, 3 * j * j + j))
 
 
 def _fincap2m_lhs(p, c):
@@ -381,11 +382,9 @@ def _fincap2m_lhs(p, c):
 
 def _fincap2m_rhs(p, c):
     M = p["M"]
-    out = LaurentSeries.zero()
-    for j in range(-M - 1, M + 1):
-        out = out + gaussian_binomial(2 * M + 1, M - j, 6).shift(
-            2 * (3 * j * j + 2 * j))
-    return out
+    return LaurentSeries.sum(
+        gaussian_binomial(2 * M + 1, M - j, 6).shift(2 * (3 * j * j + 2 * j))
+        for j in range(-M - 1, M + 1))
 
 
 def _fincap1n_lhs(p, c):
@@ -397,15 +396,15 @@ def _fincap_rhs(N: int, k: int, a: int, b: int) -> LaurentSeries:
     """sum_l [N+k, 2l+k]_{q^3} (-q^(a/2); q^6)_{l+k} (-q^(b/2); q^6)_l
     q^(3 binom(N-2l, 2)) for k in {0, 1}, the products carried from l-1.
     The terms end at 2l + k = N + k."""
-    out = LaurentSeries.zero()
+    parts = []
     poch = LaurentSeries.one().mul_one_minus(-1, a) if k else \
         LaurentSeries.one()
     for l in range(N // 2 + 1):
         term = gaussian_binomial(N + k, 2 * l + k, 6) * poch
-        out = out + term.shift(6 * _binom2(N - 2 * l))
+        parts.append(term.shift(6 * _binom2(N - 2 * l)))
         poch = poch.mul_one_minus(-1, a + 12 * (l + k)).mul_one_minus(
             -1, b + 12 * l)
-    return out
+    return LaurentSeries.sum(parts)
 
 
 def _fincap1n_rhs(p, c):
@@ -517,52 +516,64 @@ def _poch_reversal_rhs(p, c):
 
 def _outlook1_lhs(p, c):
     L, M = p["L"], p["M"]
-    out = LaurentSeries.zero()
-    for m in range(L % 2, 3 * M + 1, 2):            # L - m even
-        term = gaussian_binomial(3 * M, m) * \
-            gaussian_binomial(2 * M + (L - m) // 2, 2 * M, 6)
-        out = out + term.shift(m * m)
-    return out
+    return LaurentSeries.sum(
+        (gaussian_binomial(3 * M, m) *
+         gaussian_binomial(2 * M + (L - m) // 2, 2 * M, 6)).shift(m * m)
+        for m in range(L % 2, 3 * M + 1, 2))             # L - m even
 
 
 def _outlook1_rhs(p, c):
     L, M = p["L"], p["M"]
-    out = LaurentSeries.zero()
-    for j in range(-L - M - 1, L + M + 2):
-        t = refined_trinomial(RefinedTParams(L, M, j, j, step=6))
-        out = out + t.shift(3 * j * j + 2 * j)
-    return out
+    return LaurentSeries.sum(
+        refined_trinomial(RefinedTParams(L, M, j, j, step=6)).shift(
+            3 * j * j + 2 * j) for j in range(-L - M - 1, L + M + 2))
+
+
+def _hierarchy_tuples(nu: int, L: int):
+    """The N_1 >= ... >= N_nu >= 0 with N_1 + (N_1 + ... + N_nu) <= L,
+    the only ones whose range of i is non-empty.  Each is yielded up to
+    its last non-zero N_k and one 0 that stands for its zero tail (no 0
+    when N_nu >= 1): every N_k past it would only add a factor 1."""
+    stack = [((), L)]                   # a prefix and what is left of L
+    while stack:
+        Ns, room = stack.pop()
+        if len(Ns) == nu:
+            yield Ns
+            continue
+        yield Ns + (0,)
+        # N_1 counts twice, in N_1 and in the sum
+        top = min(Ns[-1], room) if Ns else room // 2
+        stack.extend((Ns + (N,), room - N - (0 if Ns else N))
+                     for N in range(1, top + 1))
 
 
 def _hierarchy_lhs(p, c):
     nu, L = p["nu"], p["L"]
-    out = LaurentSeries.zero()
-    # N_1 >= ... >= N_nu >= 0 with N_1 <= L, and the inner multiplicities
-    # n_k = N_k - N_(k+1), N_(nu+1) = 0
-    for Ns in combinations_with_replacement(range(L + 1), nu):
-        Ns = Ns[::-1]
-        ns = [N - M for N, M in zip(Ns, Ns[1:] + (0,))]
-        heads = list(accumulate(Ns))            # N_1 + ... + N_j
-        # the sum over m is outlook1's LHS at (i - heads[-1], n_nu); below
-        # i = heads[-1] each of its top indices is below 2 n_nu, so it is
-        # zero, and from there on no factor is zero
-        for i in range(heads[-1], L - Ns[0] + 1):
-            term = _outlook1_lhs({"L": i - heads[-1], "M": ns[-1]}, None) * \
-                gaussian_binomial(L - Ns[0], i, 6)
-            for n, head in zip(ns, heads[:-1]):
-                term = term * gaussian_binomial(i - head + n, n, 6)
-            out = out + term.shift(3 * (i * i + sum(N * N for N in Ns)))
-    return out
+
+    def terms():
+        # the inner multiplicities n_k = N_k - N_(k+1), N_(nu+1) = 0
+        for Ns in _hierarchy_tuples(nu, L):
+            ns = [N - M for N, M in zip(Ns, Ns[1:] + (0,))]
+            heads = list(accumulate(Ns))            # N_1 + ... + N_j
+            # the sum over m is outlook1's LHS at (i - heads[-1], n_nu);
+            # below i = heads[-1] each of its top indices is below 2 n_nu,
+            # so it is zero, and from there on no factor is zero
+            for i in range(heads[-1], L - Ns[0] + 1):
+                term = _outlook1_lhs({"L": i - heads[-1], "M": ns[-1]},
+                                     None) * \
+                    gaussian_binomial(L - Ns[0], i, 6)
+                for n, head in zip(ns, heads[:-1]):
+                    term = term * gaussian_binomial(i - head + n, n, 6)
+                yield term.shift(3 * (i * i + sum(N * N for N in Ns)))
+    return LaurentSeries.sum(terms())
 
 
 def _hierarchy_rhs(p, c):
     nu, L = p["nu"], p["L"]
-    out = LaurentSeries.zero()
     coef = 3 * (nu + 2) * (nu + 1) // 2          # 3 * binom(nu+2, 2)
-    for j in range(-L, L + 1):
-        a = (nu + 2) * j
-        out = out + _rt3(L, a, a).shift(2 * (coef * j * j + j))
-    return out
+    return LaurentSeries.sum(
+        _rt3(L, (nu + 2) * j, (nu + 2) * j).shift(2 * (coef * j * j + j))
+        for j in range(-L, L + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -852,14 +863,15 @@ _BAILEY_KINDS = {0: ((0,), (0,)), 1: ((0,), (1, -1)), -1: ((0, 1), (-1,))}
 def _bailey_lhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
                 step: int) -> LaurentSeries:
     offsets = _BAILEY_KINDS[kind][0]
-    lhs = LaurentSeries.zero()
-    for i in range(L + 1):
-        F = LaurentSeries.zero()
-        for a, coeff in alpha.items():
-            F = F + coeff * sum((t_trinomial(TParams(kind, i, a + o, step))
-                                 for o in offsets), LaurentSeries.zero())
-        lhs = lhs + (gaussian_binomial(L, i, step) * F).shift(
-            _bailey_halves(i * (i - kind), step))
+
+    def F(i):
+        return LaurentSeries.sum(
+            coeff * LaurentSeries.sum(
+                t_trinomial(TParams(kind, i, a + o, step)) for o in offsets)
+            for a, coeff in alpha.items())
+    lhs = LaurentSeries.sum(
+        (gaussian_binomial(L, i, step) * F(i)).shift(
+            _bailey_halves(i * (i - kind), step)) for i in range(L + 1))
     if kind == 1:
         lhs = lhs + lhs.shift(L * step)
     return lhs
@@ -867,15 +879,15 @@ def _bailey_lhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
 
 def _bailey_rhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
                 step: int) -> LaurentSeries:
-    rhs = LaurentSeries.zero()
+    parts = []
     for a, coeff in alpha.items():
         # exponent on the alpha side carries the support variable a,
         # not the bound summation index
         b = gaussian_binomial(2 * L + (kind == -1), L - a, step)
-        rhs = rhs + coeff * sum((b.shift(_bailey_halves(a * (a - s), step))
-                                 for s in _BAILEY_KINDS[kind][1]),
-                                LaurentSeries.zero())
-    return rhs
+        parts.append(coeff * LaurentSeries.sum(
+            b.shift(_bailey_halves(a * (a - s), step))
+            for s in _BAILEY_KINDS[kind][1]))
+    return LaurentSeries.sum(parts)
 
 
 def bailey_sides(kind: int, alpha: dict[int, LaurentSeries], L: int,

@@ -44,6 +44,33 @@ def _spread(c: list, k: int, p: int, n: int) -> list:
     return out
 
 
+def _place(parts, cut: Optional[int], op) -> "LaurentSeries":
+    """The first series op each other one, for op in (add, sub), known
+    through cut; parts holds at least two (series, n) pairs, each with its
+    first n >= 1 entries at or below cut.  All sit on the common grid gcd
+    of their strides and offsets: the first is spread into a fresh list
+    and each other one slice-added into it."""
+    (first, n), rest = parts[0], parts[1:]
+    lo, g = first._lo, first._stride
+    top = lo + (n - 1) * g
+    for s, m in rest:
+        g = gcd(g, s._stride, s._lo - first._lo)
+        if s._lo < lo:
+            lo = s._lo
+        if s._lo + (m - 1) * s._stride > top:
+            top = s._lo + (m - 1) * s._stride
+    g = g or 1
+    c = first._c
+    out = _spread(c if n == len(c) else c[:n], first._stride // g or 1,
+                  (first._lo - lo) // g, (top - lo) // g + 1)
+    for s, n in rest:
+        k, p = s._stride // g or 1, (s._lo - lo) // g
+        stop = p + k * n
+        # map stops with the slice of out: entries past n are not summed
+        out[p:stop:k] = map(op, out[p:stop:k], s._c)
+    return _new(lo, g, out, cut)
+
+
 def _new(lo: int, stride: int, c: list, cutoff: Optional[int]
          ) -> "LaurentSeries":
     """A series from a list the caller owns, trimming zeros at its ends;
@@ -167,7 +194,7 @@ class LaurentSeries:
 
     def _combine(self, other: "LaurentSeries", op) -> "LaurentSeries":
         """self op other for op in (add, sub), known through the tighter
-        cutoff, on the common grid gcd(stride_a, stride_b, lo_a - lo_b)."""
+        cutoff."""
         cut = _min_cutoff(self.cutoff, other.cutoff)
         na, nb = self._upto(cut), other._upto(cut)
         if not nb:
@@ -175,24 +202,28 @@ class LaurentSeries:
         if not na:
             b = other._head(nb, cut)
             return b if op is add else -b
-        a, b = self._c, other._c
-        if na < len(a):
-            a = a[:na]
-        if nb < len(b):
-            b = b[:nb]
-        sa, sb = self._stride, other._stride
-        lo = min(self._lo, other._lo)
-        top = max(self._lo + (na - 1) * sa, other._lo + (nb - 1) * sb)
-        g = gcd(sa, sb, self._lo - other._lo) or 1
-        kb, pb = sb // g or 1, (other._lo - lo) // g
-        out = _spread(a, sa // g or 1, (self._lo - lo) // g,
-                      (top - lo) // g + 1)
-        stop = pb + kb * nb
-        out[pb:stop:kb] = map(op, out[pb:stop:kb], b)
-        return _new(lo, g, out, cut)
+        return _place(((self, na), (other, nb)), cut, op)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self._combine(other, add)
+
+    @staticmethod
+    def sum(terms, cutoff: Optional[int] = None) -> "LaurentSeries":
+        """The sum of the series in ``terms`` (any iterable), built in one
+        pass: known through the tightest of their cutoffs and ``cutoff``,
+        and without the terms that lie wholly above it.  Equal to a left
+        fold of ``+`` truncated at ``cutoff``, without a copy of the
+        running sum per term."""
+        terms = list(terms)
+        cut = cutoff
+        for t in terms:
+            cut = _min_cutoff(cut, t.cutoff)
+        parts = [(t, n) for t in terms if (n := t._upto(cut))]
+        if not parts:
+            return LaurentSeries.zero(cut)
+        if len(parts) == 1:
+            return parts[0][0]._head(parts[0][1], cut)
+        return _place(parts, cut, add)
 
     def __neg__(self) -> "LaurentSeries":
         return _new(self._lo, self._stride, list(map(neg, self._c)),

@@ -98,7 +98,7 @@ def _round_sum(L: int, b: int, a: int, step: int,
         return LaurentSeries.zero(cutoff)
     # M_n0 = [L, |a|], carried below the lowest cutoff any summand needs
     m = gaussian_binomial(L, abs(a), step, cutoff - min(shifts))
-    out = LaurentSeries.zero(cutoff)
+    parts = []
     for n, sh in enumerate(shifts, start=n0):
         if n > n0:
             # M_n = M_{n-1} (1-q^r)(1-q^(r-1)) / ((1-q^n)(1-q^(n+a))) with
@@ -109,8 +109,8 @@ def _round_sum(L: int, b: int, a: int, step: int,
                 .div_one_minus(1, (n + a) * step)
         if sh <= cutoff:
             # the sum's cutoff truncates each summand at cutoff - sh
-            out = out + m.shift(sh)
-    return out
+            parts.append(m.shift(sh))
+    return LaurentSeries.sum(parts, cutoff)
 
 
 def _next_row(k: int, prev: dict) -> dict:
@@ -130,11 +130,11 @@ def _next_row(k: int, prev: dict) -> dict:
             # q^(k+d) (k-1, d+1; 1)_2
             low = at(d, a - 1).shift(k - a) if a else at(d, 1).shift(k + d)
             if d <= 0:
-                out.append(at(d + 1, a + 1).shift(1 + a + d)
-                           + at(d + 1, a) + low)
+                out.append(LaurentSeries.sum((
+                    at(d + 1, a + 1).shift(1 + a + d), at(d + 1, a), low)))
             else:
-                out.append(at(d, a) + at(d - 1, a + 1).shift(k + d - 1)
-                           + low)
+                out.append(LaurentSeries.sum((
+                    at(d, a), at(d - 1, a + 1).shift(k + d - 1), low)))
         row[d] = out
     return row
 
@@ -233,7 +233,7 @@ def refined_trinomial(p: RefinedTParams) -> LaurentSeries:
     Sum over n >= 0 with L - a == n (mod 2) of
     q^{n^2/2} [M, n] [M+b+(L-a-n)/2, M+b] [M-b+(L+a-n)/2, M-b].
     """
-    out = LaurentSeries.zero()
+    parts = []
     for n in range(p.M + 1):
         if (p.L - p.a - n) % 2 != 0:
             continue
@@ -249,5 +249,5 @@ def refined_trinomial(p: RefinedTParams) -> LaurentSeries:
         pre = n * n * p.step
         if pre % 2 != 0:
             raise ValueError("prefactor exponent is not a half-integer multiple")
-        out = out + (t1 * t2 * t3).shift(pre // 2)
-    return out
+        parts.append((t1 * t2 * t3).shift(pre // 2))
+    return LaurentSeries.sum(parts)

@@ -290,6 +290,17 @@ class TestPoolSize:
         assert len(json.loads(text)) == top + 1
         assert pools == want
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--id", "third_pair", "--param", "L=3"],
+        ["sweep", "--id", "thm71", "--range", "M=0..3", "--jobs", "1"],
+    ])
+    def test_one_job_does_not_count_cores(self, pools, monkeypatch, argv):
+        def count():
+            raise AssertionError("cpu_count called for one job")
+        monkeypatch.setattr(cli.os, "cpu_count", count)
+        assert run(argv)[0] == 0
+        assert pools == []
+
     def test_unknown_cpu_count_runs_serially(self, pools, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         code, _ = run(["sweep", "--id", "thm71", "--range", "M=0..3",

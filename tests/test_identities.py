@@ -6,6 +6,8 @@ runs the full desk-scale sweeps.
 """
 
 import dataclasses
+import sys
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -388,6 +390,41 @@ class TestRatios:
                 den = q_poch(m, 2) * q_poch(n, 6) * q_poch(d, 6)
                 assert got == exact_divide(q_poch(M, 6), den), (kind, M, m, n)
 
+    @pytest.mark.parametrize("ratio, args", [("_ratio3", (80, 35)),
+                                             ("_ratio4", (80, 70, 0)),
+                                             ("_ratio4", (60, 20, 15))])
+    def test_cold_deep_request_nests_no_call_per_step(self, ratio, args):
+        # a chain of 35 to 70 carried steps, built from empty caches with
+        # the recursion limit 40 frames above the current depth
+        fn = getattr(identities, ratio)
+        clear_caches()
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            cold = fn(*args)
+        except RecursionError:
+            cold = None
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cold is not None, "a cold request nested a call per step"
+        # the same entry reached with every predecessor already cached
+        clear_caches()
+        M, *mn = args
+        if ratio == "_ratio3":
+            for n in range(mn[0] + 1):
+                warm = fn(M, n)
+        else:
+            m, n = mn
+            for k in range(n + 1):
+                fn(M, 0, k)
+            for j in range(m + 1):
+                warm = fn(M, j, n)
+        assert cold == warm and not cold.is_zero()
+
     def test_out_of_range_is_zero(self):
         assert identities._ratio3(4, -1).is_zero()
         assert identities._ratio3(4, 3).is_zero()
@@ -498,6 +535,22 @@ class TestHierarchy:
     def test_deep_nu(self):
         # the enumeration must not take one stack frame per level
         inst = IdentityInstance("hierarchy", {"nu": 1500, "L": 1})
+        assert verify_identity(inst).match
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 7])
+    def test_tuples_are_the_feasible_ones(self, nu):
+        for L in range(9):
+            want = {Ns[::-1] for Ns in combinations_with_replacement(
+                range(L + 1), nu) if Ns[-1] + sum(Ns) <= L}
+            got = list(identities._hierarchy_tuples(nu, L))
+            # each is cut after its first 0; the rest of it is zero
+            full = [Ns + (0,) * (nu - len(Ns)) for Ns in got]
+            assert len(full) == len(set(full)) and set(full) == want, L
+            assert all(0 not in Ns[:-1] for Ns in got)
+
+    @pytest.mark.parametrize("nu, L", [(40, 6), (300, 2), (60, 12)])
+    def test_wide_nu(self, nu, L):
+        inst = IdentityInstance("hierarchy", {"nu": nu, "L": L})
         assert verify_identity(inst).match
 
 

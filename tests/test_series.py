@@ -408,6 +408,57 @@ class TestAgainstDictReference:
                 assert x[0].first_mismatch(y[0]) == x[1].first_mismatch(y[1])
 
 
+def fold(terms, zero):
+    """The left fold of + over terms, from zero."""
+    out = zero
+    for t in terms:
+        out = out + t
+    return out
+
+
+class TestSum:
+    """The one-pass LaurentSeries.sum against a left fold of + and against
+    the dict reference."""
+
+    @given(st.lists(pairs(terms=st.one_of(strided_terms(), long_terms())),
+                    max_size=7), optional_cutoffs)
+    @example([], None)
+    @example([], 5)
+    @example([pair({-4: 1, 2: 3}, 10)], None)             # one term
+    @example([pair({-4: 1, 2: 3}, 10)], 0)                # one term, cut
+    # zero terms add nothing, but their cutoffs still count
+    @example([pair({}, 3), pair({1: 2, -5: 1}), pair({})], None)
+    # mixed strides and offsets, negative exponents
+    @example([pair({-3: 1, 3: 1}), pair({-2: 1, 2: 1, 6: -1}),
+              pair({1: 4}), pair({-3: -1})], None)
+    # the second and third lie wholly above the cut
+    @example([pair({-2: 1, 4: 1}, 12), pair({30: 5, 36: 1}),
+              pair({13: 2}, 40)], 11)
+    def test_matches_fold_and_reference(self, terms, cutoff):
+        before = [t[0].terms for t in terms]
+        got = LaurentSeries.sum((t[0] for t in terms), cutoff)  # generator
+        same(got, fold((t[1] for t in terms), DictSeries.zero(cutoff)))
+        assert got == fold((t[0] for t in terms), LaurentSeries.zero(cutoff))
+        assert [t[0].terms for t in terms] == before
+
+    def test_empty(self):
+        assert LaurentSeries.sum([]) == LaurentSeries.zero()
+        assert LaurentSeries.sum(iter(()), 7) == LaurentSeries.zero(7)
+
+    def test_single_term(self):
+        s = S({-2: 1, 4: 3, 10: -2}, 12)
+        assert LaurentSeries.sum([s]) is s
+        assert LaurentSeries.sum([s], 5) == s.truncate(5)
+        assert LaurentSeries.sum([LaurentSeries.zero(), s]) is s
+
+    def test_terms_above_the_cut_dropped(self):
+        got = LaurentSeries.sum([S({0: 1, 4: 2}, 6), S({8: 4}),
+                                 S({-2: 1, 20: 1})])
+        assert got == S({-2: 1, 0: 1, 4: 2}, 6)
+        assert LaurentSeries.sum([S({8: 4}), S({9: 1})], 7) == \
+            LaurentSeries.zero(7)
+
+
 class TestCanonicalForm:
     def test_cancellation_to_a_coarser_grid(self):
         half = S({0: 1, 1: 1}) - S({1: 1})         # (1 + q^(1/2)) - q^(1/2)
