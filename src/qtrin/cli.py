@@ -18,7 +18,6 @@ size below 1 is invalid).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import itertools
@@ -216,6 +215,7 @@ def _reports(instances, jobs: int):
     if workers <= 1:
         yield from map(verify_identity, instances)
         return
+    import concurrent.futures     # here, so a serial run never loads it
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         # executor.map preserves input order, so output stays
         # deterministic whatever the pool size

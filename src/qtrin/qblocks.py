@@ -63,14 +63,13 @@ def _infinite_factors(arg: MonomialArg, step: int, cutoff: int,
                       out: Optional[LaurentSeries]):
     """out truncated at cutoff (1 if None), and the exponents of the
     factors of (a; q_step)_infinity that can reach a term it keeps: those
-    at most its cutoff minus its lowest exponent, if that is negative."""
+    at most its cutoff minus its lowest exponent."""
     if arg.sign != 0 and arg.exp <= 0:
         raise ValueError("infinite product diverges: argument exponent <= 0")
     out = (LaurentSeries.one() if out is None else out).truncate(cutoff)
     if arg.sign == 0 or out.is_zero():
         return out, ()
-    top = out.cutoff - min(0, out.min_exp())
-    return out, range(arg.exp, top + 1, step)
+    return out, range(arg.exp, out.cutoff - out.min_exp() + 1, step)
 
 
 def poch_infinite(arg: MonomialArg, step: int, cutoff: int,
@@ -98,10 +97,9 @@ def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int,
 
 def div_poch(out: LaurentSeries, n: int, step: int) -> LaurentSeries:
     """out / (q_step; q_step)_n, one factor (1 - q_step^k) at a time; an
-    exact out that is not a multiple raises ValueError.  Below the cutoff of
-    a truncated out with no negative exponents, factors past it are 1."""
-    last = n if out.cutoff is None else min(n, out.cutoff // step)
-    for k in range(1, last + 1):
+    exact out that is not a multiple raises ValueError, and a truncated
+    one gives the exact quotient truncated at its cutoff."""
+    for k in range(1, n + 1):
         out = out.div_one_minus(1, k * step)
     return out
 
@@ -121,11 +119,10 @@ def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,
                    step: int) -> LaurentSeries:
     """out * [top, bottom] in base q_step, 0 <= bottom <= top, one factor
     (1 - q_step^(top-k+i)) / (1 - q_step^i) at a time, k = min(bottom,
-    top - bottom); after factor i the product holds [top-k+i, i].  Below
-    the cutoff of a truncated out, factors with q_step^i above it are 1."""
+    top - bottom); after factor i the product holds [top-k+i, i].  A
+    truncated out gives the exact product truncated at its cutoff."""
     k = min(bottom, top - bottom)
-    last = k if out.cutoff is None else min(k, out.cutoff // step)
-    for i in range(1, last + 1):
+    for i in range(1, k + 1):
         out = out.mul_one_minus(1, (top - k + i) * step)
         out = out.div_one_minus(1, i * step)
     return out

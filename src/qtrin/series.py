@@ -23,9 +23,9 @@ share between workers.
 
 from __future__ import annotations
 
-from itertools import accumulate, cycle
+from itertools import accumulate
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import Optional
 
 
@@ -44,12 +44,12 @@ def _spread(c: list, k: int, p: int, n: int) -> list:
     return out
 
 
-def _place(parts, cut: Optional[int], op) -> "LaurentSeries":
-    """The first series op each other one, for op in (add, sub), known
-    through cut; parts holds at least two (series, n) pairs, each with its
-    first n >= 1 entries at or below cut.  All sit on the common grid gcd
-    of their strides and offsets: the first is spread into a fresh list
-    and each other one slice-added into it."""
+def _place(parts, cut: Optional[int]) -> "LaurentSeries":
+    """The sum of the series in parts, known through cut; parts holds at
+    least two (series, n) pairs, each with its first n >= 1 entries at or
+    below cut.  All sit on the common grid gcd of their strides and
+    offsets: the first is spread into a fresh list and each other one
+    slice-added into it."""
     (first, n), rest = parts[0], parts[1:]
     lo, g = first._lo, first._stride
     top = lo + (n - 1) * g
@@ -67,7 +67,7 @@ def _place(parts, cut: Optional[int], op) -> "LaurentSeries":
         k, p = s._stride // g or 1, (s._lo - lo) // g
         stop = p + k * n
         # map stops with the slice of out: entries past n are not summed
-        out[p:stop:k] = map(op, out[p:stop:k], s._c)
+        out[p:stop:k] = map(add, out[p:stop:k], s._c)
     return _new(lo, g, out, cut)
 
 
@@ -192,28 +192,15 @@ class LaurentSeries:
 
     # -- ring operations --------------------------------------------------
 
-    def _combine(self, other: "LaurentSeries", op) -> "LaurentSeries":
-        """self op other for op in (add, sub), known through the tighter
-        cutoff."""
-        cut = _min_cutoff(self.cutoff, other.cutoff)
-        na, nb = self._upto(cut), other._upto(cut)
-        if not nb:
-            return self._head(na, cut)
-        if not na:
-            b = other._head(nb, cut)
-            return b if op is add else -b
-        return _place(((self, na), (other, nb)), cut, op)
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self._combine(other, add)
+        return LaurentSeries.sum((self, other))
 
     @staticmethod
     def sum(terms, cutoff: Optional[int] = None) -> "LaurentSeries":
         """The sum of the series in ``terms`` (any iterable), built in one
         pass: known through the tightest of their cutoffs and ``cutoff``,
-        and without the terms that lie wholly above it.  Equal to a left
-        fold of ``+`` truncated at ``cutoff``, without a copy of the
-        running sum per term."""
+        and without the terms that lie wholly above it.  ``+`` is its
+        two-term case; a longer sum copies no running sum per term."""
         terms = list(terms)
         cut = cutoff
         for t in terms:
@@ -223,14 +210,14 @@ class LaurentSeries:
             return LaurentSeries.zero(cut)
         if len(parts) == 1:
             return parts[0][0]._head(parts[0][1], cut)
-        return _place(parts, cut, add)
+        return _place(parts, cut)
 
     def __neg__(self) -> "LaurentSeries":
         return _new(self._lo, self._stride, list(map(neg, self._c)),
                     self.cutoff)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self._combine(other, sub)
+        return self + -other
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         # A product is known only below the point where one factor's
@@ -274,7 +261,9 @@ class LaurentSeries:
         r[n] = self[n] - sign * self[n - exp].  The same as multiplying by
         that factor as a series: at exp = 0 the two terms add (to the
         exact zero for sign = 1), and a truncated series stays known below
-        cutoff + min(exp, 0)."""
+        cutoff + min(exp, 0).  A truncated series that the factor moves
+        wholly past its cutoff (exp > cutoff - min_exp) is returned as it
+        is."""
         if sign == 0:
             return self
         if exp == 0:
@@ -291,44 +280,45 @@ class LaurentSeries:
         n = (self.max_exp() - self._lo) // g + 1 + d
         if self.cutoff is not None:
             n = min(n, (self.cutoff - self._lo) // g + 1)
+        if d >= n:
+            return self
         r = _spread(self._c, self._stride // g or 1, 0, n)
         # both slices are copies, so each entry takes the old one d back
         r[d:] = map(sub if sign == 1 else add, r[d:], r[:n - d])
         return _new(self._lo, g, r, self.cutoff)
 
     def div_one_minus(self, sign: int, exp: int) -> "LaurentSeries":
-        """Quotient by 1 - sign * q^(exp/2), exp >= 1: the strided prefix
-        sum r[n] = self[n] + sign * r[n - exp].  With n slots on the grid
-        and exp d slots apart, it runs block by block (n / d steps) when
+        """Quotient by 1 - sign * q^(exp/2), exp >= 1.  For sign = 1 it is
+        the strided prefix sum r[n] = self[n] + r[n - exp]; for sign = -1
+        it is the product with 1 - q^(exp/2) divided by 1 - q^exp, since
+        1/(1 + y) = (1 - y)/(1 - y^2).  With n slots on the grid and exp d
+        slots apart, the sum runs block by block (n / d steps) when
         d * d > n and 20 * d > n, else one running sum per residue class
         (d steps): on long lists a class's running sum costs less per
         entry than a block, so blocks win only once d nears n / 20.  A
-        truncated series keeps its cutoff; an exact one must be a
-        multiple, else the non-zero remainder raises ValueError."""
+        truncated series keeps its cutoff, and is returned as it is when
+        exp > cutoff - min_exp; an exact one must be a multiple, else the
+        non-zero remainder raises ValueError."""
         if exp < 1:
             raise ValueError("div_one_minus needs exp >= 1")
         if sign == 0 or not self._c:
             return self
+        if sign == -1:
+            return self.mul_one_minus(1, exp).div_one_minus(1, 2 * exp)
         g = gcd(self._stride, exp)
         d = exp // g
         top = self.max_exp() if self.cutoff is None else self.cutoff
         n = (top - self._lo) // g + 1
+        if d >= n and self.cutoff is not None:
+            return self
         r = _spread(self._c, self._stride // g or 1, 0, n)
         if d * d > n and 20 * d > n:
-            op = add if sign == 1 else sub
             for k in range(d, n, d):
                 # map stops with the shorter slice at the end of r
-                r[k:k + d] = map(op, r[k:k + d], r[k - d:k])
-        elif sign == 1:
-            for j in range(d):
-                r[j::d] = accumulate(r[j::d])
+                r[k:k + d] = map(add, r[k:k + d], r[k - d:k])
         else:
             for j in range(d):
-                # r[m] = x[m] - r[m-1] along the class is (-1)^m times the
-                # running sum of (-1)^m x[m]
-                r[j::d] = map(mul, accumulate(map(mul, r[j::d],
-                                                  cycle((1, -1)))),
-                              cycle((1, -1)))
+                r[j::d] = accumulate(r[j::d])
         if self.cutoff is None and any(r[max(n - d, 0):]):
             raise ValueError("non-zero remainder: not a multiple")
         return _new(self._lo, g, r, self.cutoff)

@@ -215,16 +215,24 @@ def round_trinomial(p: TrinomialParams,
     return _round_sum(p.L, p.b, p.a, p.step, cutoff)
 
 
+def _half_units(u: int, step: int) -> int:
+    """The exponent of Q^(u/2), Q = q_step, in half-units of q; raises
+    ValueError unless it is whole."""
+    v = u * step
+    if v % 2 != 0:
+        raise ValueError(f"Q^({u}/2) in base q_{step} is not a whole number "
+                         "of half-units")
+    return v // 2
+
+
 def t_trinomial(p: TParams) -> LaurentSeries:
     """T_n(L, a; q_step): reversed round trinomial with monomial prefactor.
 
     T_n(L,a;q) = q^{(L(L-n) - a(a-n))/2} * (L, a-n; a; 1/q)_2.
     """
     base = _exact_round(p.L, p.a - p.n, p.a, p.step).reverse_exponents()
-    pre = (p.L * (p.L - p.n) - p.a * (p.a - p.n)) * p.step
-    if pre % 2 != 0:
-        raise ValueError("prefactor exponent is not a half-integer multiple")
-    return base.shift(pre // 2)
+    return base.shift(_half_units(p.L * (p.L - p.n) - p.a * (p.a - p.n),
+                                  p.step))
 
 
 def refined_trinomial(p: RefinedTParams) -> LaurentSeries:
@@ -246,8 +254,5 @@ def refined_trinomial(p: RefinedTParams) -> LaurentSeries:
                                p.M - p.b, p.step)
         if t3.is_zero():
             continue
-        pre = n * n * p.step
-        if pre % 2 != 0:
-            raise ValueError("prefactor exponent is not a half-integer multiple")
-        parts.append((t1 * t2 * t3).shift(pre // 2))
+        parts.append((t1 * t2 * t3).shift(_half_units(n * n, p.step)))
     return LaurentSeries.sum(parts)

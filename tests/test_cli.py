@@ -1,10 +1,14 @@
 """CLI contract tests: exit codes, report schema, determinism."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -271,7 +275,7 @@ class TestPoolSize:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             FakeExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         return sizes
@@ -289,6 +293,17 @@ class TestPoolSize:
         assert code == 0
         assert len(json.loads(text)) == top + 1
         assert pools == want
+
+    def test_import_loads_no_pool(self):
+        # a serial run never needs the pool's modules, so importing the CLI
+        # leaves them unloaded
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = ("import sys, qtrin.cli; "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--id", "third_pair", "--param", "L=3"],

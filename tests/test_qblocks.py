@@ -3,7 +3,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qtrin.series import LaurentSeries
 from qtrin.qblocks import (MonomialArg, Q, ZERO_ARG, div_poch,
@@ -163,6 +163,27 @@ class TestDivPoch:
     def test_truncated_stops_at_cutoff(self):
         assert div_poch(LaurentSeries.one().truncate(q(3)), 50, 2) == \
             inv_poch_series(3, 2, q(3))
+
+    @given(st.integers(-20, -1),
+           st.dictionaries(st.integers(1, 30), st.integers(-5, 5),
+                           max_size=6),
+           st.integers(-10, 12), st.integers(0, 6),
+           st.sampled_from([1, 2, 6]))
+    @example(-10, {}, 4, 5, 2)
+    def test_truncated_laurent(self, lo, rest, cutoff, n, step):
+        # out has a negative lowest exponent lo, so factors up to
+        # q^(cutoff - lo) reach a kept term: the quotient is out times
+        # the geometric series 1 / (1 - q_step^k), k = 1..n, through that
+        # reach
+        out = LaurentSeries({lo: 1, **{lo + k: c for k, c in rest.items()}},
+                            cutoff)
+        reach = max(0, cutoff - lo)
+        want = LaurentSeries.one().truncate(reach)
+        for k in range(1, n + 1):
+            e = k * step
+            want = want * LaurentSeries(
+                {i * e: 1 for i in range(reach // e + 1)}, reach)
+        assert div_poch(out, n, step) == out * want
 
 
 class TestGaussianBinomial:

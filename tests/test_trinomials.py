@@ -1,5 +1,6 @@
 """Tests for the three q-trinomial families."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtrin.identities import cache_sizes, clear_caches
@@ -192,6 +193,18 @@ class TestTTrinomial:
         t = t_trinomial(TParams(n, L, a))
         if not t.is_zero():
             assert t.min_exp() >= 0
+
+
+class TestHalfUnits:
+    def test_quarter_powers_raise_one_message(self):
+        # in base q^(1/2) the prefactor Q^(1/2) of T_0(1, 0) and of the
+        # n = 1 term of cal-T(1, 1; 0, 0) is q^(1/4)
+        for build, p in ((t_trinomial, TParams(0, 1, 0, step=1)),
+                         (refined_trinomial,
+                          RefinedTParams(1, 1, 0, 0, step=1))):
+            with pytest.raises(ValueError,
+                               match="not a whole number of half-units"):
+                build(p)
 
 
 class TestRefinedTrinomial:
