@@ -172,27 +172,28 @@ def _double_sum(cutoff: int, *exps: Callable[[int, int], int]
     term for each exponent e in ``exps`` (half-units).
 
     Each exponent must grow quadratically so only finitely many terms land
-    below the cutoff; the loops run while the lowest of them does.
+    below the cutoff; the loops run while the lowest of them does.  Each
+    carried quotient is cut to what its next terms read, so that lowest
+    exponent must not fall as m or n grows.
     """
     def low(m, n):
         return min(e(m, n) for e in exps)
-    out = LaurentSeries.zero(cutoff)
+    terms = []
     inv_m = LaurentSeries.one().truncate(cutoff)        # 1/(q;q)_m
     m = 0
     while low(m, 0) <= cutoff or m == 0:
         inv_mn = inv_m                       # 1/((q;q)_m (q^3;q^3)_n)
         n = 0
         while low(m, n) <= cutoff:
-            for e in exps:
-                x = e(m, n)
-                out = out + inv_mn.truncate(cutoff - x).shift(x)
+            terms += (inv_mn.shift(e(m, n)) for e in exps)
             n += 1
-            inv_mn = inv_mn.div_one_minus(1, 6 * n)
+            inv_mn = inv_mn.truncate(cutoff - low(m, n)).div_one_minus(
+                1, 6 * n)
         m += 1
-        inv_m = inv_m.div_one_minus(1, 2 * m)
+        inv_m = inv_m.truncate(cutoff - low(m, 0)).div_one_minus(1, 2 * m)
         if m > 4 * cutoff + 8:
             raise ValueError("double sum failed to terminate")
-    return out
+    return LaurentSeries.sum(terms, cutoff)
 
 
 def _cap_products(cutoff: int, *pairs: tuple[int, int]) -> LaurentSeries:
@@ -448,15 +449,15 @@ def _outlook2_rhs(p, c):
 
 def _qbin_lhs(p, c):
     zs, ze = p["z_sign"], p["z_exp"]
-    out = LaurentSeries.zero(c)
+    terms = []
     # (a;q)_n / (q;q)_n, kept below c - n*ze, where summand n starts
     term = LaurentSeries.one().truncate(c)
     for n in range(c // ze + 1):
-        out = out + term.shift(n * ze).scale_coeffs(zs ** n)
+        terms.append(term.shift(n * ze).scale_coeffs(zs ** n))
         term = term.truncate(c - (n + 1) * ze).mul_one_minus(
             p["a_sign"], p["a_exp"] + 2 * n)
         term = term.div_one_minus(1, 2 * (n + 1))
-    return out
+    return LaurentSeries.sum(terms, c)
 
 
 def _qbin_rhs(p, c):
@@ -469,14 +470,14 @@ def _qbin_rhs(p, c):
 
 def _qexp_lhs(p, c):
     zs, ze = p["z_sign"], p["z_exp"]
-    out = LaurentSeries.zero(c)
+    terms = []
     term = LaurentSeries.one().truncate(c)     # 1 / (q;q)_n
     n = 0
     while n * (n - 1) + n * ze <= c:
-        out = out + term.shift(n * (n - 1) + n * ze).scale_coeffs(zs ** n)
+        terms.append(term.shift(n * (n - 1) + n * ze).scale_coeffs(zs ** n))
         n += 1
         term = term.truncate(c - n * (n - 1) - n * ze).div_one_minus(1, 2 * n)
-    return out
+    return LaurentSeries.sum(terms, c)
 
 
 def _qexp_rhs(p, c):
@@ -486,14 +487,11 @@ def _qexp_rhs(p, c):
 
 def _jtp_lhs(p, c):
     zs, ze = p["z_sign"], p["z_exp"]
-    terms: dict[int, int] = {}
     bound = int(math.isqrt(c)) + abs(ze) + 2
-    for j in range(-bound, bound + 1):
-        e = j * ze + 2 * j * j
-        if e <= c:
-            # two values of j meet at one exponent when j + j' = -ze/2
-            terms[e] = terms.get(e, 0) + (zs if j % 2 else 1)   # zs^j
-    return LaurentSeries(terms, c)
+    # zs^j q^(j ze/2 + j^2)
+    return LaurentSeries.sum(
+        (LaurentSeries.monomial(zs if j % 2 else 1, j * ze + 2 * j * j)
+         for j in range(-bound, bound + 1)), c)
 
 
 def _jtp_rhs(p, c):

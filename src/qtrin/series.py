@@ -469,17 +469,14 @@ class TrivariateSeries:
     def __mul__(self, other: "TrivariateSeries") -> "TrivariateSeries":
         tcut = min(self.t_cutoff, other.t_cutoff)
         qcut = min(self.q_cutoff, other.q_cutoff)
-        out: dict = {}
+        prods: dict = {}
         for (ta, xa), sa in self.entries.items():
             for (tb, xb), sb in other.entries.items():
-                td = ta + tb
-                if td > tcut:
-                    continue
-                key = (td, xa + xb)
-                prod = sa * sb
-                cur = out.get(key)
-                out[key] = prod if cur is None else cur + prod
-        return TrivariateSeries(out, t_cutoff=tcut, q_cutoff=qcut)
+                if ta + tb <= tcut:
+                    prods.setdefault((ta + tb, xa + xb), []).append(sa * sb)
+        return TrivariateSeries(
+            {key: LaurentSeries.sum(ps, qcut) for key, ps in prods.items()},
+            t_cutoff=tcut, q_cutoff=qcut)
 
     def entry(self, t_degree: int, x_exp: int = 0) -> LaurentSeries:
         return self.entries.get((t_degree, x_exp),
@@ -503,7 +500,7 @@ class TrivariateSeries:
                     raise ValueError(
                         f"entry {key} only known to {s.cutoff} < {qcut}; "
                         "increase the working cutoff")
-            m = a.truncate(qcut).first_mismatch(b.truncate(qcut))
+            m = a.first_mismatch(b)
             if m is not None:
                 return (key[0], key[1], m[0], m[1], m[2])
         return None

@@ -256,6 +256,35 @@ class TestTrivariate:
         assert sq.entry(2, 2).terms == {0: 1}
         assert (sq * sq).entries == {}   # t-degree 4 > cutoff
 
+    # entries on few (t, x) keys, so several products meet on one key
+    entries = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(-1, 1)),
+        st.builds(lambda s, cut: s if cut is None else s.truncate(cut),
+                  small_polys, st.one_of(st.none(), st.integers(-8, 20))),
+        max_size=6)
+
+    @given(entries, entries, st.integers(0, 4), st.integers(0, 4),
+           st.integers(-4, 24), st.integers(-4, 24))
+    # (0,0)(1,0) and (1,0)(0,0) give q and -q on key (1, 0), which vanishes
+    @example({(0, 0): S({0: 1}), (1, 0): S({0: 1})},
+             {(0, 0): S({2: -1}), (1, 0): S({2: 1})}, 3, 3, 10, 10)
+    def test_mul_matches_per_key_fold(self, ea, eb, ta, tb, qa, qb):
+        a = TrivariateSeries(ea, t_cutoff=ta, q_cutoff=qa)
+        b = TrivariateSeries(eb, t_cutoff=tb, q_cutoff=qb)
+        tcut, qcut = min(ta, tb), min(qa, qb)
+        fold = {}
+        for (t1, x1), sa in a.entries.items():
+            for (t2, x2), sb in b.entries.items():
+                key = (t1 + t2, x1 + x2)
+                fold[key] = fold[key] + sa * sb if key in fold else sa * sb
+        want = {k: (s.terms, s.cutoff) for k, s in
+                ((k, s.truncate(qcut)) for k, s in fold.items())
+                if k[0] <= tcut and not s.is_zero()}
+        got = a * b
+        assert {k: (s.terms, s.cutoff) for k, s in got.entries.items()} \
+            == want
+        assert (got.t_cutoff, got.q_cutoff) == (tcut, qcut)
+
     def test_first_mismatch(self):
         a = self.single(1, 0, S({2: 5}))
         b = self.single(1, 0, S({2: 6}))
