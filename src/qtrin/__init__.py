@@ -17,10 +17,21 @@ from .identities import (IdentityInstance, VerificationReport, REGISTRY,
                          bailey_sides, verify_lemma31,
                          verify_limit_stabilization, cache_sizes,
                          clear_caches)
-from .partitions import (CapparelliVariant, Partition, FIRST, SECOND,
-                         VARIANTS, congruence_side_count,
-                         difference_side_count, difference_side_partitions,
-                         product_coefficients, doublesum_coefficients,
-                         capparelli_chain)
+
+# qtrin.partitions loads on the first read of one of its names, so a
+# process that counts no partitions never imports it
+_PARTITION_NAMES = frozenset({
+    "CapparelliVariant", "Partition", "FIRST", "SECOND", "VARIANTS",
+    "congruence_side_count", "difference_side_count",
+    "difference_side_partitions", "product_coefficients",
+    "doublesum_coefficients", "capparelli_chain"})
+
+
+def __getattr__(name):
+    if name in _PARTITION_NAMES:
+        from . import partitions
+        return getattr(partitions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "1.0.0"

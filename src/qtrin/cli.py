@@ -18,7 +18,6 @@ size below 1 is invalid).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -26,11 +25,9 @@ import os
 import sys
 from typing import Optional
 
-from .acceptance import run_battery
 from .identities import (REGISTRY, IdentityInstance, VerificationReport,
                          _resolve, compute_side, identity_ids,
                          verify_identity)
-from .partitions import VARIANTS, capparelli_chain
 from .series import LaurentSeries
 
 USAGE_ERROR = 2
@@ -89,9 +86,10 @@ class ReportWriter:
         if fmt == "json":
             out.write("[")
         elif fmt == "csv":
-            w = csv.writer(out)
-            w.writerow(_CSV_FIELDS + _CSV_GRADED_FIELDS if graded
-                       else _CSV_FIELDS)
+            import csv              # here, so json and text never load it
+            self._csv = csv.writer(out)
+            self._csv.writerow(_CSV_FIELDS + _CSV_GRADED_FIELDS if graded
+                               else _CSV_FIELDS)
 
     def write(self, rep: VerificationReport):
         rec = report_record(rep)
@@ -99,7 +97,7 @@ class ReportWriter:
             sep = "\n " if self._first else ",\n "
             self.out.write(sep + json.dumps(rec, sort_keys=True))
         elif self.fmt == "csv":
-            csv.writer(self.out).writerow(_csv_row(rec, self.graded))
+            self._csv.writerow(_csv_row(rec, self.graded))
         else:
             status = "ok " if rec["match"] else "FAIL"
             mism = rec["first_mismatch"]
@@ -277,6 +275,7 @@ def cmd_coeffs(args, out) -> int:
                               "coefficients": rows},
                              sort_keys=True) + "\n")
     elif args.format == "csv":
+        import csv
         w = csv.writer(out)
         w.writerow(["exponent_halves", "coefficient"])
         for r in rows:
@@ -290,6 +289,7 @@ def cmd_coeffs(args, out) -> int:
 
 
 def cmd_partitions(args, out) -> int:
+    from .partitions import VARIANTS, capparelli_chain
     if args.variant not in VARIANTS:
         raise UsageError(f"unknown variant {args.variant!r}; "
                          f"known: {', '.join(sorted(VARIANTS))}")
@@ -302,6 +302,7 @@ def cmd_partitions(args, out) -> int:
         out.write(json.dumps({"variant": args.variant, "rows": rows,
                               "all_equal": all_equal}, sort_keys=True) + "\n")
     elif args.format == "csv":
+        import csv
         w = csv.writer(out)
         w.writerow(["n", "congruence", "difference", "product", "double_sum"])
         for r in rows:
@@ -318,6 +319,7 @@ def cmd_partitions(args, out) -> int:
 
 
 def cmd_suite(args, out) -> int:
+    from .acceptance import run_battery
     results = run_battery()
     for r in results:
         out.write(r.line() + "\n")

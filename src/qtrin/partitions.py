@@ -16,6 +16,7 @@ one definition of each product and double sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .identities import IdentityInstance, compute_side
 
@@ -87,20 +88,20 @@ def _difference_column(n_max: int, v: CapparelliVariant) -> list[int]:
     """difference_side_count(n, v) for n = 0..n_max; sums[s][p], p <= s,
     counts the non-empty partitions of s that obey the conditions and have
     largest part at most p.  Every part q <= p - 4 may sit below p, so
-    that part of the count is one prefix sum; only q = p - 3 and q = p - 2
-    are checked against the gap condition."""
+    that part of the count is one prefix sum; of q = p - 3 and q = p - 2,
+    the gap condition lets at most one sit below p, gap[p] (0 if none)."""
+    gap = [next((q for q in (p - 3, p - 2) if q >= 1 and _gap_ok(q, p)), 0)
+           for p in range(n_max + 1)]
     sums = [[0]]
     for s in range(1, n_max + 1):
-        row, acc = [0], 0
-        for p in range(1, s + 1):
-            if p != v.excluded_part:
-                below = sums[s - p]           # its largest part is <= s - p
-                acc += (s == p) + below[max(min(p - 4, s - p), 0)]
-                for q in range(max(p - 3, 1), min(p - 1, s - p + 1)):
-                    if _gap_ok(q, p):
-                        acc += below[q] - below[q - 1]
-            row.append(acc)
-        sums.append(row)
+        # the partitions of s with largest part p, for p = 1..s; what sits
+        # under p is counted by below = sums[s - p]
+        counts = [0 if p == v.excluded_part else
+                  (p == s) + below[max(min(p - 4, s - p), 0)]
+                  + (below[q] - below[q - 1] if 0 < q <= s - p else 0)
+                  for p, q, below in zip(range(1, s + 1), gap[1:],
+                                         reversed(sums))]
+        sums.append([0, *accumulate(counts)])
     return [1] + [row[-1] for row in sums[1:]]
 
 

@@ -294,17 +294,6 @@ class TestPoolSize:
         assert len(json.loads(text)) == top + 1
         assert pools == want
 
-    def test_import_loads_no_pool(self):
-        # a serial run never needs the pool's modules, so importing the CLI
-        # leaves them unloaded
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = ("import sys, qtrin.cli; "
-                "sys.exit('concurrent.futures' in sys.modules)")
-        assert subprocess.run([sys.executable, "-c", code], env=env,
-                              timeout=60).returncode == 0
-
     @pytest.mark.parametrize("argv", [
         ["verify", "--id", "third_pair", "--param", "L=3"],
         ["sweep", "--id", "thm71", "--range", "M=0..3", "--jobs", "1"],
@@ -499,6 +488,30 @@ class TestPartitionsCommand:
     def test_unknown_variant(self):
         code, _ = run(["partitions", "--variant", "third", "--nmax", "5"])
         assert code == 2
+
+
+class TestColdStart:
+    # a serial run never needs the pool, and only the commands that count
+    # partitions, run the suite or write csv need the rest, so importing
+    # the CLI leaves them all unloaded
+    @pytest.mark.parametrize("module", ["concurrent.futures", "csv",
+                                        "qtrin.partitions",
+                                        "qtrin.acceptance"])
+    def test_import_leaves_unloaded(self, module):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = f"import sys, qtrin.cli; sys.exit({module!r} in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
+
+    def test_partition_names_resolve_on_the_package(self):
+        import qtrin
+        from qtrin import partitions
+        assert qtrin.FIRST is partitions.FIRST
+        assert qtrin.capparelli_chain is partitions.capparelli_chain
+        with pytest.raises(AttributeError):
+            qtrin.no_such_name
 
 
 class TestTopLevel:

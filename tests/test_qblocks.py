@@ -16,6 +16,12 @@ def q(k):
     return 2 * k
 
 
+@pytest.mark.parametrize("sign", [2, -2])
+def test_monomial_arg_rejects_sign(sign):
+    with pytest.raises(ValueError, match="sign must"):
+        MonomialArg(sign, 2)
+
+
 class TestPochFinite:
     def test_empty_product(self):
         assert poch_finite(Q, 2, 0) == LaurentSeries.one()

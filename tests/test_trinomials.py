@@ -23,6 +23,23 @@ PASCAL_ROWS = {
 }
 
 
+@pytest.mark.parametrize("cls, args, step, match", [
+    (TrinomialParams, (-1, 0, 0), 2, "L must"),
+    (TrinomialParams, (2, 0, 0), 0, "step must"),
+    (TParams, (0, -1, 0), 2, "L must"),
+    (TParams, (0, 2, 0), 0, "step must"),
+    (RefinedTParams, (-1, 0, 0, 0), 2, "L and M must"),
+    (RefinedTParams, (0, -1, 0, 0), 2, "L and M must"),
+    (RefinedTParams, (2, 2, 0, 0), 0, "step must"),
+], ids=["round-L", "round-step", "t-L", "t-step", "refined-L",
+        "refined-M", "refined-step"])
+def test_params_reject_negative_size_and_step(cls, args, step, match):
+    with pytest.raises(ValueError, match=match):
+        cls(*args, step=step)
+    # the smallest accepted values sit just inside the checks
+    cls(*(max(x, 0) for x in args), step=max(step, 1))
+
+
 class TestRoundTrinomial:
     def test_small_exact_values(self):
         got = round_trinomial(TrinomialParams(2, 0, 0))
