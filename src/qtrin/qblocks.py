@@ -95,11 +95,22 @@ def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int,
     return out
 
 
+def _acting(out: LaurentSeries, n: int, step: int) -> range:
+    """The k in 1..n whose factor 1 - q_step^k reaches a term that out
+    keeps: all of them if out is exact, else those with k * step <=
+    cutoff - min_exp.  No such factor moves min_exp, so every factor past
+    that bound stays past it."""
+    if out.cutoff is not None:
+        n = min(n, 0 if out.is_zero() else
+                (out.cutoff - out.min_exp()) // step)
+    return range(1, n + 1)
+
+
 def div_poch(out: LaurentSeries, n: int, step: int) -> LaurentSeries:
     """out / (q_step; q_step)_n, one factor (1 - q_step^k) at a time; an
     exact out that is not a multiple raises ValueError, and a truncated
     one gives the exact quotient truncated at its cutoff."""
-    for k in range(1, n + 1):
+    for k in _acting(out, n, step):
         out = out.div_one_minus(1, k * step)
     return out
 
@@ -122,7 +133,9 @@ def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,
     top - bottom); after factor i the product holds [top-k+i, i].  A
     truncated out gives the exact product truncated at its cutoff."""
     k = min(bottom, top - bottom)
-    for i in range(1, k + 1):
+    # factor i multiplies by 1 - q_step^(top-k+i), whose exponent is at
+    # least that of the divisor 1 - q_step^i
+    for i in _acting(out, k, step):
         out = out.mul_one_minus(1, (top - k + i) * step)
         out = out.div_one_minus(1, i * step)
     return out

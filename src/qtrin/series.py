@@ -12,7 +12,8 @@ stride``.  Neither end of the list is zero, so the zero series is the
 empty list; a single term has stride 0.  The stride need not be the gcd
 of the exponents, so equal series may sit on different grids; equality
 and hashing do not depend on the grid.  Kernels are list operations on
-slices of these grids and build their results without re-filtering.
+slices of these grids and build their results without re-filtering; the
+product packs both grids into integers and multiplies those once.
 
 A series is either exact (``cutoff is None``) or truncated above an
 inclusive upper bound ``cutoff``, and stores no term above it.  All
@@ -23,9 +24,10 @@ share between workers.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
 from math import gcd
-from operator import add, neg, sub
+from operator import add, lshift, ne, neg, or_, sub
+from struct import Struct
 from typing import Optional
 
 
@@ -42,6 +44,49 @@ def _spread(c: list, k: int, p: int, n: int) -> list:
     out = [0] * n
     out[p:p + k * len(c):k] = c
     return out
+
+
+def _slots(s: "LaurentSeries", g: int, n: int) -> list:
+    """The first n slots of s on the grid min_exp + i * g, where g divides
+    its stride: a slice of its list, spread when the grid is finer."""
+    k = s._stride // g or 1
+    c = s._c[:(n - 1) // k + 1]
+    return c if k == 1 else _spread(c, k, 0, (len(c) - 1) * k + 1)
+
+
+# Kronecker substitution: q -> X = 2^(64 w) makes a list c of slots the
+# integer sum c[i] X^i, so that a product of series is one product of
+# integers.  Each slot is a two's-complement word of 64 w bits, exact while
+# |c[i]| < X / 2, so callers take w from a bound on every slot.  ``signs``
+# holds the sign bit X / 2 of each slot, over at least as many slots as
+# the list, or is 0 when no slot is negative.
+
+def _pack(c: list, w: int, signs: int) -> int:
+    """sum c[i] X^i: a negative slot reads as itself plus X, with its sign
+    bit set, and one subtraction takes those X back."""
+    if w == 1:
+        # the same words, made faster; a fresh Struct, since struct.pack
+        # would keep up to 100 compiled formats alive in its cache
+        data = Struct(f"<{len(c)}q").pack(*c)
+    else:
+        mask = (1 << 64 * w) - 1
+        data = b"".join(map(int.to_bytes, map(mask.__and__, c),
+                            repeat(8 * w), repeat("little")))
+    x = int.from_bytes(data, "little")
+    return x - ((x & signs) << 1)
+
+
+def _unpack(x: int, n: int, w: int, signs: int) -> list:
+    """The first n slots of x = sum c[i] X^i: adding X / 2 to each makes it
+    non-negative, so none borrows from the next, and the XOR turns each
+    back into its word, read in the machine's (little-endian) order."""
+    v = ((x + signs) ^ signs) & ((1 << 64 * w * n) - 1)
+    words = memoryview(v.to_bytes(8 * w * n, "little"))
+    c = words.cast("q")[w - 1::w].tolist()
+    low = words.cast("Q")       # the words below a slot's top are unsigned
+    for j in range(w - 2, -1, -1):
+        c = list(map(or_, map(lshift, c, repeat(64)), low[j::w]))
+    return c
 
 
 def _place(parts, cut: Optional[int]) -> "LaurentSeries":
@@ -234,27 +279,21 @@ class LaurentSeries:
         cut = min(bounds) if bounds else None
         if not self._c or not other._c:
             return LaurentSeries.zero(cut)
-        # Convolve with the shorter operand on the outside: each of its
-        # entries adds a scaled row of the other, cut off at the cutoff.
-        a, b = self, other
-        if len(a._c) > len(b._c):
-            a, b = b, a
-        g = gcd(a._stride, b._stride) or 1
-        lo = a._lo + b._lo
-        n = (a.max_exp() + b.max_exp() - lo) // g + 1
+        # The n slots of the product on the common grid, n >= 1 since a
+        # truncated factor keeps its lowest term at or below its cutoff;
+        # only the first n slots of each factor reach them.
+        g = gcd(self._stride, other._stride) or 1
+        lo = self._lo + other._lo
+        n = (self.max_exp() + other.max_exp() - lo) // g + 1
         if cut is not None:
             n = min(n, (cut - lo) // g + 1)
-        ka, kb, row = a._stride // g or 1, b._stride // g or 1, b._c
-        out = [0] * max(n, 0)
-        for i, x in enumerate(a._c):
-            p = i * ka
-            if p >= n:
-                break
-            if x:
-                stop = p + kb * min(len(row), (n - 1 - p) // kb + 1)
-                # map stops with the shorter slice of out
-                out[p:stop:kb] = map(add, out[p:stop:kb], map(x.__mul__, row))
-        return _new(lo, g, out, cut)
+        a, b = _slots(self, g, n), _slots(other, g, n)
+        # a slot of the product sums at most min(len(a), len(b)) products
+        w = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+             ).bit_length() // 64 + 1
+        signs = int.from_bytes((bytes(8 * w - 1) + b"\x80") * n, "little")
+        x = _pack(a, w, signs) * _pack(b, w, signs)
+        return _new(lo, g, _unpack(x, n, w, signs), cut)
 
     def mul_one_minus(self, sign: int, exp: int) -> "LaurentSeries":
         """Product with 1 - sign * q^(exp/2): the strided difference
@@ -375,12 +414,21 @@ class LaurentSeries:
 
         Comparison runs up to the tighter of the two cutoffs (everywhere,
         if both are exact).  Returns (exponent, self_coeff, other_coeff).
+        Both sides are spread onto their common grid up to the highest
+        kept term and compared slot by slot; nothing else is built.
         """
-        diff = self - other
-        if diff.is_zero():
+        cut = _min_cutoff(self.cutoff, other.cutoff)
+        sides = [(s, s._upto(cut)) for s in (self, other)]
+        if not sides[0][1] and not sides[1][1]:
             return None
-        e = diff._lo
-        return (e, self.coeff_at(e), other.coeff_at(e))
+        lo = min(s._lo for s, n in sides if n)
+        g = gcd(self._stride, other._stride, self._lo - other._lo) or 1
+        m = (max(s._lo + (n - 1) * s._stride for s, n in sides if n) - lo
+             ) // g + 1
+        a, b = (_spread(s._c[:n], s._stride // g or 1, (s._lo - lo) // g, m)
+                for s, n in sides)
+        i = next(compress(count(), map(ne, a, b)), None)
+        return None if i is None else (lo + i * g, a[i], b[i])
 
     def __repr__(self):
         terms = self.terms

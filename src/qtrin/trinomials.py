@@ -20,7 +20,8 @@ from (0, b; a)_2 = [a = 0].  An entry with a > L is 0, and one with
 a < 0 is folded by (L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, which keeps
 d.  Rows do not depend on the step: q and q^3 read the same row through
 ``scale_exponents``.  A row is kept only when a caller asked for it; the
-rows built on the way are dropped.  The rule only adds shifted entries,
+rows built on the way are dropped.  Rows are stepped as packed integers,
+one per entry (see ``_RowStore``).  The rule only adds shifted entries,
 so the exact path has no division and no remainder check: its
 correctness rests on the tests against sums of products of Gaussian
 binomials.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .series import LaurentSeries
+from .series import LaurentSeries, _new, _pack, _unpack
 from .qblocks import gaussian_binomial
 
 
@@ -113,29 +114,40 @@ def _round_sum(L: int, b: int, a: int, step: int,
     return LaurentSeries.sum(parts, cutoff)
 
 
-def _next_row(k: int, prev: dict) -> dict:
+def _offset(d: int) -> int:
+    """Entries of column d <= -2 reach down to q^(-d^2/4), so each is held
+    times q^_offset(d), which has no negative exponent."""
+    return d * d // 4 if d < 0 else 0
+
+
+def _shift(x: int, bits: int) -> int:
+    # a right shift is exact here: no held entry reaches below q^0
+    return x << bits if bits >= 0 else x >> -bits
+
+
+def _next_row(k: int, prev: dict, bits: int) -> dict:
     """Row k from row k - 1 by the rule in the module docstring, over the
     same window of d.  A row maps d to the entries (k, a + d; a)_2,
-    a = 0..k, with exponent e standing for q_step^e."""
-    zero = LaurentSeries.zero()
-
-    def at(d: int, a: int) -> LaurentSeries:
-        return prev[d][a] if a < k else zero
-
+    a = 0..k, each held as the integer sum_e c_e 2^(bits (e + _offset(d)))
+    of its terms c_e q_step^e, so that q^s is a shift by bits * s."""
     row = {}
-    for d in prev:
-        out = []
-        for a in range(k + 1):
-            # q^(k-a) (k-1, b-1; a-1)_2, folded at a = 0 to
-            # q^(k+d) (k-1, d+1; 1)_2
-            low = at(d, a - 1).shift(k - a) if a else at(d, 1).shift(k + d)
-            if d <= 0:
-                out.append(LaurentSeries.sum((
-                    at(d + 1, a + 1).shift(1 + a + d), at(d + 1, a), low)))
-            else:
-                out.append(LaurentSeries.sum((
-                    at(d, a), at(d - 1, a + 1).shift(k + d - 1), low)))
-        row[d] = out
+    for d, col in prev.items():
+        col = col + [0, 0]      # entries a = k, k + 1 of row k - 1 are 0
+        # q^(k-a) (k-1, b-1; a-1)_2, folded at a = 0 to
+        # q^(k+d) (k-1, d+1; 1)_2
+        fold = _shift(col[1], (k + d) * bits)
+        if d <= 0:
+            up = prev[d + 1] + [0, 0]
+            o = _offset(d) - _offset(d + 1)
+            row[d] = [_shift(up[a + 1], (1 + a + d + o) * bits)
+                      + (up[a] << o * bits)
+                      + (col[a - 1] << (k - a) * bits if a else fold)
+                      for a in range(k + 1)]
+        else:
+            down = prev[d - 1] + [0, 0]
+            row[d] = [col[a] + (down[a + 1] << (k + d - 1) * bits)
+                      + (col[a - 1] << (k - a) * bits if a else fold)
+                      for a in range(k + 1)]
     return row
 
 
@@ -145,7 +157,10 @@ class _RowStore:
     Row L holds every d of a window [lo, hi] with lo <= 0 < hi.  Entry d
     needs d and d + 1 (d <= 0) or d - 1 and d (d >= 1) of the row below,
     so such a window is closed: a row is built over it in a loop from the
-    highest kept row that covers it, or from row 0."""
+    highest kept row that covers it, or from row 0.  The loop steps packed
+    integers (see _next_row) with slots of 64 w bits: every coefficient up
+    to row L is below 3^L, the value of the whole row at q = 1, so no slot
+    carries; only row L is unpacked."""
 
     def __init__(self):
         self._rows: dict[int, dict] = {}
@@ -163,16 +178,29 @@ class _RowStore:
     def _build(self, L: int, lo: int, hi: int) -> None:
         start = max((k for k, r in self._rows.items()
                      if k < L and lo in r and hi in r), default=None)
+        w = (3 ** L).bit_length() // 64 + 1
+        bits = 64 * w
         if start is None:
-            start, row = 0, {d: [LaurentSeries.one()]
+            start, row = 0, {d: [1 << _offset(d) * bits]
                              for d in range(lo, hi + 1)}
         else:
-            row = {d: self._rows[start][d] for d in range(lo, hi + 1)}
+            # kept entries lie on the grid of stride 1 that _new gave them
+            # below, and no entry is negative, so no sign bit is set
+            row = {d: [_pack(e._c, w, 0) << (e.min_exp() + _offset(d)) * bits
+                       for e in self._rows[start][d]]
+                   for d in range(lo, hi + 1)}
         for k in range(start + 1, L + 1):
-            row = _next_row(k, row)
+            row = _next_row(k, row, bits)
         # entries already handed out stay the ones kept, so that a wider
-        # rebuild holds no second copy of them
-        self._rows[L] = {**row, **self._rows.get(L, {})}
+        # rebuild holds no second copy of them; each packed entry is
+        # dropped as it is unpacked
+        kept = self._rows.get(L, {})
+        for d, col in row.items():
+            if d not in kept:
+                for a, x in enumerate(col):
+                    col[a] = _new(-_offset(d), 1, _unpack(
+                        x, x.bit_length() // bits + 1, w, 0), None)
+        self._rows[L] = {**row, **kept}
 
     def clear(self) -> None:
         self._rows.clear()

@@ -146,6 +146,21 @@ class TestInvPochSeries:
         assert inv_poch_series(2, 2, q(3)).terms == \
             {0: 1, q(1): 1, q(2): 2, q(3): 2}
 
+    def test_factors_past_the_cutoff_are_not_applied(self, monkeypatch):
+        # no factor 1 - q^k with k > 10 reaches a term kept through q^10
+        want = inv_poch_series(10, 2, 20)
+        calls = []
+        kernel = LaurentSeries.div_one_minus
+        monkeypatch.setattr(LaurentSeries, "div_one_minus",
+                            lambda s, sign, exp: calls.append(exp)
+                            or kernel(s, sign, exp))
+        assert inv_poch_series(10_000, 2, 20) == want
+        assert len(calls) <= 11
+        # [N, K] = 1/(q;q)_10 + O(q^11) once K and N - K pass 10
+        calls.clear()
+        assert gaussian_binomial(10_000, 5_000, 2, 20) == want
+        assert len(calls) <= 11
+
     @given(st.integers(0, 6), st.sampled_from([2, 4, 6]))
     def test_reciprocal_of_finite(self, n, step):
         c = q(10)

@@ -324,6 +324,19 @@ def long_terms(draw):
     return {offset + stride * k: c for k, c in enumerate(coeffs)}
 
 
+@st.composite
+def wide_terms(draw):
+    """Up to 12 slots of the grid offset + stride * k, stride 0..6, with
+    coefficients of up to 200 bits: products then need slots of one, two
+    or more 64-bit words."""
+    stride = draw(st.integers(0, 6))
+    offset = draw(st.integers(-12, 12))
+    bits = draw(st.sampled_from([3, 31, 32, 62, 63, 64, 126, 127, 128, 200]))
+    coeffs = draw(st.lists(st.integers(-2 ** bits, 2 ** bits),
+                           max_size=12 if stride else 1))
+    return {offset + stride * k: c for k, c in enumerate(coeffs)}
+
+
 def pair(terms, cutoff=None):
     """The same series as a LaurentSeries and as the DictSeries reference."""
     return LaurentSeries(terms, cutoff), DictSeries(terms, cutoff)
@@ -380,6 +393,27 @@ class TestAgainstDictReference:
     def test_mul(self, a, b):
         same(a[0] * b[0], a[1] * b[1])
 
+    @given(pairs(terms=wide_terms()), pairs(terms=wide_terms()))
+    # a slot of the product is bounded by min(len a, len b) max|a| max|b|;
+    # these sit just below and at 2^63 and 2^127, where a slot needs one
+    # more word
+    @example(pair({0: 2 ** 63 - 1}), pair({-3: 1}))
+    @example(pair({0: -(2 ** 63 - 1)}), pair({5: 1}, 5))
+    @example(pair({0: 2 ** 63}, 9), pair({1: -1}))
+    @example(pair({0: 2 ** 127 - 1}), pair({0: -1}))
+    @example(pair({0: -2 ** 127}), pair({0: 1}))
+    @example(pair({0: 2 ** 31 - 1, 2: 2 ** 31 - 1}),
+             pair({0: -2 ** 31 - 1, 2: -2 ** 31 - 1}))
+    @example(pair({-4: 2 ** 63 - 1, 2: 2 ** 63 - 1}, 30),
+             pair({0: 2 ** 63 + 1, 3: 2 ** 63 + 1}))
+    @example(pair({0: 2 ** 63 - 1, 1: -2 ** 63 + 1}),
+             pair({0: 2 ** 63 + 1, 1: 2 ** 63 + 1}, 0))
+    @example(pair({0: 3, 6: -2 ** 200}), pair({-2: 5, 1: 2 ** 200}))
+    @example(pair({}, 4), pair({0: 2 ** 100}))            # zero operands
+    @example(pair({0: 2 ** 100}), pair({}))
+    def test_mul_wide_coefficients(self, a, b):
+        same(a[0] * b[0], a[1] * b[1])
+
     @given(long_pairs, signs, st.integers(-40, 40))
     @example(pair(DENSE, 30), 1, -17)
     @example(pair(DENSE), -1, -40)
@@ -427,6 +461,18 @@ class TestAgainstDictReference:
             else:
                 with pytest.raises(want):
                     getattr(a[0], name)(*args)
+
+    def test_first_mismatch_in_last_kept_slot(self):
+        # stride 3 from q^-3 against stride 1 from q^-3: the tighter cutoff
+        # 4 keeps exponent 3 last, and b's term at 5 lies above it
+        a = S({-6: 1, -3: 2, 0: 3, 3: 5}, 4)
+        b = S({-6: 1, -3: 2, 0: 3, 3: 6, 5: 7}, 10)
+        assert a.first_mismatch(b) == (3, 5, 6)
+        assert b.first_mismatch(a) == (3, 6, 5)
+        assert a.first_mismatch(S({-6: 1, -3: 2, 0: 3, 3: 5, 5: 7})) is None
+        # a term on one side only, at the last kept slot of the other
+        assert S({-1: 2}, 3).first_mismatch(S({-1: 2, 3: 1})) == (3, 0, 1)
+        assert S({4: 1}, 3).first_mismatch(LaurentSeries.zero()) is None
 
     @given(pairs(), pairs(), st.integers(0, 40))
     def test_first_mismatch(self, a, b, k):

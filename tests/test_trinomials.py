@@ -185,6 +185,22 @@ class TestRows:
             assert got == two_binomial_round_sum(L, a + d, a, step)
 
 
+    def test_rows_across_word_boundary(self):
+        # every coefficient up to row L is below 3^L, and 3^40 > 2^63, so
+        # from L = 40 a packed slot takes two words; d = -5 and -2 widen
+        # the window to [-5, 1], whose columns are held times q^(d^2/4)
+        clear_caches()
+        for L in range(38, 46):     # each row from the one kept below it
+            for a, d in ((0, -5), (3, -2), (L // 2, 0), (L - 1, 1)):
+                got = round_trinomial(TrinomialParams(L, a + d, a))
+                assert got == two_binomial_round_sum(L, a + d, a, 2), \
+                    (L, a, d)
+        # from row 0; (50, 0; 2)_2 has coefficients of 68 bits
+        clear_caches()
+        got = round_trinomial(TrinomialParams(50, 0, 2, 6))
+        assert got == two_binomial_round_sum(50, 0, 2, 6)
+
+
 class TestTTrinomial:
     def test_t1_diagonal_is_one(self):
         for L in range(6):
