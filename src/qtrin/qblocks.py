@@ -59,17 +59,26 @@ def q_poch(n: int, step: int) -> LaurentSeries:
     return poch_finite(MonomialArg(1, step), step, n)
 
 
+def _reach(out: LaurentSeries) -> Optional[int]:
+    """The highest exponent e at which a factor 1 - a q^(e/2) still reaches
+    a term that out keeps: cutoff - min_exp for a truncated out, None (no
+    bound) for an exact one, and -1 (no factor) for zero.  No such factor
+    moves min_exp, so every factor past the bound stays past it."""
+    if out.is_zero():
+        return -1
+    return None if out.cutoff is None else out.cutoff - out.min_exp()
+
+
 def _infinite_factors(arg: MonomialArg, step: int, cutoff: int,
                       out: Optional[LaurentSeries]):
     """out truncated at cutoff (1 if None), and the exponents of the
-    factors of (a; q_step)_infinity that can reach a term it keeps: those
-    at most its cutoff minus its lowest exponent."""
+    factors of (a; q_step)_infinity that can reach a term it keeps."""
     if arg.sign != 0 and arg.exp <= 0:
         raise ValueError("infinite product diverges: argument exponent <= 0")
     out = (LaurentSeries.one() if out is None else out).truncate(cutoff)
-    if arg.sign == 0 or out.is_zero():
+    if arg.sign == 0:
         return out, ()
-    return out, range(arg.exp, out.cutoff - out.min_exp() + 1, step)
+    return out, range(arg.exp, _reach(out) + 1, step)
 
 
 def poch_infinite(arg: MonomialArg, step: int, cutoff: int,
@@ -97,13 +106,9 @@ def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int,
 
 def _acting(out: LaurentSeries, n: int, step: int) -> range:
     """The k in 1..n whose factor 1 - q_step^k reaches a term that out
-    keeps: all of them if out is exact, else those with k * step <=
-    cutoff - min_exp.  No such factor moves min_exp, so every factor past
-    that bound stays past it."""
-    if out.cutoff is not None:
-        n = min(n, 0 if out.is_zero() else
-                (out.cutoff - out.min_exp()) // step)
-    return range(1, n + 1)
+    keeps (see ``_reach``)."""
+    top = _reach(out)
+    return range(1, n + 1 if top is None else min(n, top // step) + 1)
 
 
 def div_poch(out: LaurentSeries, n: int, step: int) -> LaurentSeries:

@@ -24,6 +24,7 @@ share between workers.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, compress, count, repeat
 from math import gcd
 from operator import add, lshift, ne, neg, or_, sub
@@ -57,16 +58,30 @@ def _slots(s: "LaurentSeries", g: int, n: int) -> list:
 # Kronecker substitution: q -> X = 2^(64 w) makes a list c of slots the
 # integer sum c[i] X^i, so that a product of series is one product of
 # integers.  Each slot is a two's-complement word of 64 w bits, exact while
-# |c[i]| < X / 2, so callers take w from a bound on every slot.  ``signs``
-# holds the sign bit X / 2 of each slot, over at least as many slots as
-# the list, or is 0 when no slot is negative.
+# |c[i]| < X / 2, so callers take w from a bound on every slot
+# (``slot_words``).  ``signs`` holds the sign bit X / 2 of each slot, over
+# at least as many slots as the list, or is 0 when no slot is negative.
+# Slots are written little-endian and read back as machine words, so the
+# two orders must agree.
+if sys.byteorder != "little":
+    raise ImportError("qtrin.series reads packed slots as little-endian "
+                      "machine words")
+
+
+def slot_words(bound: int) -> int:
+    """The w whose slots hold every coefficient of absolute value at most
+    bound, with a sign bit to spare."""
+    return bound.bit_length() // 64 + 1
+
 
 def _pack(c: list, w: int, signs: int) -> int:
     """sum c[i] X^i: a negative slot reads as itself plus X, with its sign
     bit set, and one subtraction takes those X back."""
     if w == 1:
-        # the same words, made faster; a fresh Struct, since struct.pack
-        # would keep up to 100 compiled formats alive in its cache
+        # one-word slots, nearly every product's, are written in C; the
+        # general path below costs two to four times as much per slot.  A
+        # fresh Struct, since struct.pack would keep up to 100 compiled
+        # formats alive in its cache
         data = Struct(f"<{len(c)}q").pack(*c)
     else:
         mask = (1 << 64 * w) - 1
@@ -79,7 +94,7 @@ def _pack(c: list, w: int, signs: int) -> int:
 def _unpack(x: int, n: int, w: int, signs: int) -> list:
     """The first n slots of x = sum c[i] X^i: adding X / 2 to each makes it
     non-negative, so none borrows from the next, and the XOR turns each
-    back into its word, read in the machine's (little-endian) order."""
+    back into its word."""
     v = ((x + signs) ^ signs) & ((1 << 64 * w * n) - 1)
     words = memoryview(v.to_bytes(8 * w * n, "little"))
     c = words.cast("q")[w - 1::w].tolist()
@@ -87,6 +102,23 @@ def _unpack(x: int, n: int, w: int, signs: int) -> list:
     for j in range(w - 2, -1, -1):
         c = list(map(or_, map(lshift, c, repeat(64)), low[j::w]))
     return c
+
+
+def pack_series(s: "LaurentSeries", w: int, shift: int) -> int:
+    """The packed integer sum c_e X^(e + shift) of s = sum c_e q^(e/2),
+    which has no negative coefficient and min_exp + shift >= 0; s q^(u/2)
+    is then a shift left by 64 w u bits.  The zero series packs to 0."""
+    if not s._c:
+        return 0
+    return _pack(_slots(s, 1, s.max_exp() - s._lo + 1), w, 0) \
+        << 64 * w * (s._lo + shift)
+
+
+def unpack_series(x: int, w: int, lo: int) -> "LaurentSeries":
+    """The exact series sum c_i q^((lo + i)/2) of a packed integer x =
+    sum c_i X^i with no negative slot."""
+    return _new(lo, 1, _unpack(x, x.bit_length() // (64 * w) + 1, w, 0),
+                None)
 
 
 def _place(parts, cut: Optional[int]) -> "LaurentSeries":
@@ -289,8 +321,8 @@ class LaurentSeries:
             n = min(n, (cut - lo) // g + 1)
         a, b = _slots(self, g, n), _slots(other, g, n)
         # a slot of the product sums at most min(len(a), len(b)) products
-        w = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-             ).bit_length() // 64 + 1
+        w = slot_words(min(len(a), len(b)) * max(map(abs, a))
+                       * max(map(abs, b)))
         signs = int.from_bytes((bytes(8 * w - 1) + b"\x80") * n, "little")
         x = _pack(a, w, signs) * _pack(b, w, signs)
         return _new(lo, g, _unpack(x, n, w, signs), cut)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .series import LaurentSeries, _new, _pack, _unpack
+from .series import LaurentSeries, pack_series, slot_words, unpack_series
 from .qblocks import gaussian_binomial
 
 
@@ -128,8 +128,8 @@ def _shift(x: int, bits: int) -> int:
 def _next_row(k: int, prev: dict, bits: int) -> dict:
     """Row k from row k - 1 by the rule in the module docstring, over the
     same window of d.  A row maps d to the entries (k, a + d; a)_2,
-    a = 0..k, each held as the integer sum_e c_e 2^(bits (e + _offset(d)))
-    of its terms c_e q_step^e, so that q^s is a shift by bits * s."""
+    a = 0..k, each held times q^_offset(d) as a ``pack_series`` integer
+    with slots of ``bits`` bits, so that q^s is a shift by bits * s."""
     row = {}
     for d, col in prev.items():
         col = col + [0, 0]      # entries a = k, k + 1 of row k - 1 are 0
@@ -178,17 +178,15 @@ class _RowStore:
     def _build(self, L: int, lo: int, hi: int) -> None:
         start = max((k for k, r in self._rows.items()
                      if k < L and lo in r and hi in r), default=None)
-        w = (3 ** L).bit_length() // 64 + 1
+        w = slot_words(3 ** L)
         bits = 64 * w
         if start is None:
-            start, row = 0, {d: [1 << _offset(d) * bits]
-                             for d in range(lo, hi + 1)}
+            start, entries = 0, {d: [LaurentSeries.one()]
+                                 for d in range(lo, hi + 1)}
         else:
-            # kept entries lie on the grid of stride 1 that _new gave them
-            # below, and no entry is negative, so no sign bit is set
-            row = {d: [_pack(e._c, w, 0) << (e.min_exp() + _offset(d)) * bits
-                       for e in self._rows[start][d]]
-                   for d in range(lo, hi + 1)}
+            entries = self._rows[start]
+        row = {d: [pack_series(e, w, _offset(d)) for e in entries[d]]
+               for d in range(lo, hi + 1)}
         for k in range(start + 1, L + 1):
             row = _next_row(k, row, bits)
         # entries already handed out stay the ones kept, so that a wider
@@ -198,8 +196,7 @@ class _RowStore:
         for d, col in row.items():
             if d not in kept:
                 for a, x in enumerate(col):
-                    col[a] = _new(-_offset(d), 1, _unpack(
-                        x, x.bit_length() // bits + 1, w, 0), None)
+                    col[a] = unpack_series(x, w, -_offset(d))
         self._rows[L] = {**row, **kept}
 
     def clear(self) -> None:

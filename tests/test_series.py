@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qtrin.series import LaurentSeries, TrivariateSeries, exact_divide
+from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
+                          pack_series, slot_words, unpack_series)
 
 from dict_series import DictSeries
 
@@ -489,6 +490,28 @@ def fold(terms, zero):
     for t in terms:
         out = out + t
     return out
+
+
+class TestPacking:
+    @given(st.dictionaries(st.integers(-8, 40), st.integers(0, 2 ** 200),
+                           max_size=8),
+           st.integers(0, 12))
+    @example({}, 0)
+    @example({-3: 1, 3: 2 ** 64, 9: 2 ** 191 - 1}, 3)     # stride 6
+    @example({5: 2 ** 63 - 1}, 0)                          # one word
+    @example({5: 2 ** 63}, 0)                              # two words
+    def test_round_trip(self, terms, lowest):
+        # a packed series unpacks to itself, and q^(u/2) is a shift by
+        # 64 w u bits; shift puts its lowest slot at X^lowest
+        s = LaurentSeries(terms)
+        w = slot_words(max(terms.values(), default=0))
+        shift = lowest - (0 if s.is_zero() else s.min_exp())
+        x = pack_series(s, w, shift)
+        assert unpack_series(x, w, -shift) == s
+        assert unpack_series(x << 64 * w * 5, w, -shift) == s.shift(5)
+        if not s.is_zero():
+            assert x.bit_length() > 64 * w * lowest
+            assert x & ((1 << 64 * w * lowest) - 1) == 0
 
 
 class TestSum:
