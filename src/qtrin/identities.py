@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Callable, Optional, Union
 
 from . import qblocks, trinomials
@@ -900,66 +900,59 @@ def bailey_sides(kind: int, alpha: dict[int, LaurentSeries], L: int,
 # ---------------------------------------------------------------------------
 # limit stabilization
 
-def _pair_limit(id: str, e: int):
-    """The RHS of the pair identity ``id`` in L, and 1/(q^(e/2);q^3)_inf."""
+def _pair_limit(id: str, e: int, first: int, slope: int, offset: int):
+    """The RHS of the pair identity ``id`` in L, its limit, and its law."""
     return ({}, lambda p, L, c: REGISTRY[id].rhs({"L": L}, c),
-            lambda p, c: inv_poch_infinite(MonomialArg(1, e), 6, c))
+            lambda p, c: inv_poch_infinite(MonomialArg(1, e), 6, c),
+            lambda p: (first, slope, offset))
 
 
-def _searchable(id: str, name: str, p: dict) -> None:
-    """Members of the binomial families are zero while their index is
-    below p[name]; past the search bound every member searched is zero
-    and none can reach the limit."""
-    if p[name] > _SEARCH_BOUND:
-        raise ValueError(f"{id}: parameter {name} must be at most "
-                         f"{_SEARCH_BOUND}, the search bound; got {p[name]}")
+def _binom_limit_law(p):
+    # [N, m] = (q^(N-m+1);q)_m / (q;q)_m, and [N, 0] = 1 = 1/(q;q)_0
+    if p["m"] < 0:
+        raise ValueError(f"binom_limit needs m >= 0, got {p['m']}")
+    return (p["m"], 2, 2 - 2 * p["m"]) if p["m"] else (0, 0, math.inf)
 
 
-def _binom_limit_target(p, c):
-    _searchable("binom_limit", "m", p)
-    return inv_poch_series(p["m"], 2, c)
-
-
-def _binom_limit2_target(p, c):
+def _binom_limit2_law(p):
     if p["nu"] not in (0, 1) or p["j"] < 0:
         raise ValueError("binom_limit2 needs nu in {0,1} and j >= 0")
-    _searchable("binom_limit2", "j", p)
-    return inv_poch_infinite(MonomialArg(1, 2), 2, c)
+    return p["j"], 2, 2 - 2 * p["j"]
 
 
 # id -> (default parameters, member(params, index, cutoff),
-# target(params, cutoff)); the binomial families stabilize to
-# 1/(q;q)_m and 1/(q;q)_inf
+# target(params, cutoff), law(params)).  law checks the parameters and
+# gives (first, slope, offset): from index first on, member n first
+# differs from the target at slope·n + offset half-units.
 _LIMIT_TARGETS = {
-    "first_pair": _pair_limit("first_pair", 2),
-    "second_pair": _pair_limit("second_pair", 4),
-    "third_pair": _pair_limit("third_pair", 2),
+    "first_pair": _pair_limit("first_pair", 2, 0, 4, 4),
+    "second_pair": _pair_limit("second_pair", 4, 1, 2, 0),
+    "third_pair": _pair_limit("third_pair", 2, 0, 4, 2),
     "binom_limit": ({"m": 2},
                     lambda p, N, c: gaussian_binomial(N, p["m"], cutoff=c),
-                    _binom_limit_target),
+                    lambda p, c: inv_poch_series(p["m"], 2, c),
+                    _binom_limit_law),
     "binom_limit2": ({"nu": 0, "j": 0},
                      lambda p, M, c: gaussian_binomial(2 * M + p["nu"],
                                                        M - p["j"], cutoff=c),
-                     _binom_limit2_target),
+                     lambda p, c: inv_poch_infinite(MonomialArg(1, 2), 2, c),
+                     _binom_limit2_law),
 }
-
-# members 0 .. _SEARCH_BOUND are built; the window must stabilize in them
-_SEARCH_BOUND = 30
 
 
 def verify_limit_stabilization(id: str, window: int,
                                params: Optional[dict] = None
                                ) -> VerificationReport:
-    """Find the first index from which the family agrees with its limit
-    below the degree window (half-units).  Errors if the window needs more
-    than ``_SEARCH_BOUND`` terms.
-
-    Each family member is built only below the window.
+    """Check a family against its limit below the degree window
+    (half-units); ``stabilized_at`` is one past the last member that
+    differs from it there.  Members are built, each only below the window,
+    up to the first that the family's law puts past the window; from the
+    law's first index on, each must first differ where the law says.
     """
     start = time.monotonic()
     if id not in _LIMIT_TARGETS:
         raise KeyError(f"no stabilization target for id {id!r}")
-    defaults, member, target = _LIMIT_TARGETS[id]
+    defaults, member, target, law = _LIMIT_TARGETS[id]
     params = dict(params or {})
     extra = sorted(set(params) - set(defaults))
     if extra:
@@ -968,6 +961,7 @@ def verify_limit_stabilization(id: str, window: int,
     if window < 0:
         raise ValueError(f"{id}: window must be non-negative, got {window}")
     p = {**defaults, **params}
+    first, slope, offset = law(p)
 
     def checked(series: LaurentSeries, what: str) -> LaurentSeries:
         if series.cutoff != window:
@@ -976,18 +970,22 @@ def verify_limit_stabilization(id: str, window: int,
         return series
 
     limit = checked(target(p, window), "target")
-    agree_from = None
-    for L in range(_SEARCH_BOUND + 1):
-        value = checked(member(p, L, window), f"member {L}")
-        if value.first_mismatch(limit) is None:
-            if agree_from is None:
-                agree_from = L
-        else:
-            agree_from = None
+    stabilized_at = 0
+    for n in count():
+        mism = checked(member(p, n, window),
+                       f"member {n}").first_mismatch(limit)
+        at = None if mism is None else mism[0]
+        if at is not None:
+            stabilized_at = n + 1
+        law_at = slope * n + offset
+        law_at = None if law_at > window else law_at
+        if n >= first and (at != law_at or law_at is None):
+            break
     elapsed = int((time.monotonic() - start) * 1000)
     inst = IdentityInstance(id, {**params, "window": window})
-    if agree_from is None:
-        return VerificationReport(inst, False, None, elapsed,
-                                  {"error": "window too large for search bound"})
-    return VerificationReport(inst, True, None, elapsed,
-                              {"stabilized_at": agree_from})
+    if at == law_at:
+        return VerificationReport(inst, True, None, elapsed,
+                                  {"stabilized_at": stabilized_at})
+    return VerificationReport(inst, False, mism, elapsed, {
+        "error": f"member {n} breaks its law", "first_mismatch": at,
+        "law": law_at})

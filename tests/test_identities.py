@@ -177,6 +177,19 @@ class TestShortenedWindow:
         with pytest.raises(ValueError, match="known only to"):
             verify_identity(IdentityInstance("kr1", {}, q(10)))
 
+    @pytest.mark.parametrize("short,raises", [(1, True), (0, False)])
+    def test_side_boundary_half_unit(self, monkeypatch, short, raises):
+        # known to exactly c - 1 is short; known to exactly c is not
+        base = REGISTRY["kr1"].rhs
+        self.shorten(monkeypatch, "kr1",
+                     lambda p, c: base(p, c + 2).truncate(c - short))
+        inst = IdentityInstance("kr1", {}, q(10))
+        if raises:
+            with pytest.raises(ValueError, match="known only to"):
+                verify_identity(inst)
+        else:
+            assert verify_identity(inst).match
+
     def test_exact_side_truncated(self, monkeypatch):
         base = REGISTRY["third_pair"].rhs
         self.shorten(monkeypatch, "third_pair",
@@ -191,10 +204,21 @@ class TestShortenedWindow:
         with pytest.raises(ValueError, match="member 0"):
             verify_limit_stabilization("third_pair", window=q(6))
 
+    def test_stabilization_member_short_by_one(self, monkeypatch):
+        # members 0..3 are built at window q^6; only member 3 is short
+        defaults, member, target, law = identities._LIMIT_TARGETS["third_pair"]
+        monkeypatch.setitem(
+            identities._LIMIT_TARGETS, "third_pair",
+            (defaults, lambda p, n, c: member(p, n, c - (n == 3)), target,
+             law))
+        with pytest.raises(ValueError, match="member 3 "):
+            verify_limit_stabilization("third_pair", window=q(6))
+
     def test_stabilization_target_short(self, monkeypatch):
-        defaults, member, target = identities._LIMIT_TARGETS["third_pair"]
+        defaults, member, target, law = identities._LIMIT_TARGETS["third_pair"]
         monkeypatch.setitem(identities._LIMIT_TARGETS, "third_pair",
-                            (defaults, member, lambda p, c: target(p, c - 2)))
+                            (defaults, member, lambda p, c: target(p, c - 2),
+                             law))
         with pytest.raises(ValueError, match="target"):
             verify_limit_stabilization("third_pair", window=q(6))
 
@@ -432,6 +456,37 @@ class TestRatios:
             assert identities._ratio4(4, m, n).is_zero()
 
 
+LAW_FAMILIES = [("first_pair", {}), ("second_pair", {}), ("third_pair", {}),
+                ("binom_limit", {"m": 0}), ("binom_limit", {"m": 2}),
+                ("binom_limit", {"m": 5}),
+                ("binom_limit2", {"nu": 0, "j": 0}),
+                ("binom_limit2", {"nu": 1, "j": 0}),
+                ("binom_limit2", {"nu": 1, "j": 2})]
+
+
+def scanned_indices(id, params, top):
+    """The reference for the laws, the scan they replaced: for each window
+    0..top, the first index from which members 0..30 all agree with the
+    limit below it, or None if member 30 differs.  Each member is built
+    once below top and truncated to each window."""
+    defaults, member, target, _ = identities._LIMIT_TARGETS[id]
+    p = {**defaults, **params}
+    members = [member(p, n, top) for n in range(31)]
+    full_limit = target(p, top)
+    indices = []
+    for window in range(top + 1):
+        limit = full_limit.truncate(window)
+        agree_from = None
+        for n, value in enumerate(members):
+            if value.truncate(window).first_mismatch(limit) is None:
+                if agree_from is None:
+                    agree_from = n
+            else:
+                agree_from = None
+        indices.append(agree_from)
+    return indices
+
+
 class TestStabilization:
     def test_trivial_window(self):
         rep = verify_limit_stabilization("third_pair", window=0)
@@ -465,10 +520,17 @@ class TestStabilization:
 
     @pytest.mark.parametrize("id,name", [("binom_limit", "m"),
                                          ("binom_limit2", "j")])
-    def test_index_past_search_bound_rejected(self, id, name):
-        # every member searched is zero, so no window could stabilize
-        with pytest.raises(ValueError, match=f"parameter {name} "):
-            verify_limit_stabilization(id, 0, {name: 31})
+    def test_large_index_stabilizes(self, id, name):
+        # members 0..30 are zero, and so differ from the limit at q^0
+        rep = verify_limit_stabilization(id, 0, {name: 31})
+        assert rep.match
+        assert rep.detail["stabilized_at"] == 31
+
+    @pytest.mark.parametrize("id,name", [("binom_limit", "m"),
+                                         ("binom_limit2", "j")])
+    def test_negative_index_rejected(self, id, name):
+        with pytest.raises(ValueError, match=f"{name} >= 0"):
+            verify_limit_stabilization(id, q(6), {name: -3})
 
     @pytest.mark.parametrize("id,params", [
         ("binom_limit", {"m": 30}),
@@ -483,6 +545,41 @@ class TestStabilization:
     def test_negative_window_rejected(self, id):
         with pytest.raises(ValueError, match="window"):
             verify_limit_stabilization(id, -4)
+
+    @pytest.mark.parametrize("id,params", LAW_FAMILIES)
+    def test_law_index_matches_scan(self, id, params):
+        for window, want in enumerate(scanned_indices(id, params, 40)):
+            assert want is not None, window
+            rep = verify_limit_stabilization(id, window, params)
+            assert rep.match, (window, rep.detail)
+            assert rep.detail["stabilized_at"] == want, window
+
+    @pytest.mark.parametrize("id,params", LAW_FAMILIES)
+    def test_law_holds_at_window_120(self, id, params):
+        rep = verify_limit_stabilization(id, 120, params)
+        assert rep.match, rep.detail
+
+    @pytest.mark.parametrize("id,params,n,replace", [
+        # member n agrees with the limit where its law has it differ
+        ("third_pair", {}, 3, lambda member, target, p, n, c: target(p, c)),
+        ("binom_limit", {"m": 2}, 4,
+         lambda member, target, p, n, c: target(p, c)),
+        # member n agrees one degree further than its law says; the
+        # stabilization index does not move
+        ("binom_limit2", {"nu": 1, "j": 0}, 2,
+         lambda member, target, p, n, c: member(p, n + 1, c)),
+    ])
+    def test_member_breaking_its_law(self, monkeypatch, id, params, n,
+                                     replace):
+        defaults, member, target, law = identities._LIMIT_TARGETS[id]
+        monkeypatch.setitem(identities._LIMIT_TARGETS, id, (
+            defaults,
+            lambda p, k, c: (replace(member, target, p, k, c) if k == n
+                             else member(p, k, c)),
+            target, law))
+        rep = verify_limit_stabilization(id, q(10), params)
+        assert not rep.match
+        assert rep.detail["error"].startswith(f"member {n} ")
 
 
 def nested_loop_hierarchy_lhs(p, c):

@@ -301,6 +301,17 @@ class TestTrivariate:
         with pytest.raises(ValueError):
             full.first_mismatch(short)
 
+    def test_first_mismatch_entry_boundary(self):
+        # q_cutoff is 10: an entry known to 9 is short, one known to 10
+        # is not
+        full = self.single(1, 0, S({2: 5}))
+        short = self.single(1, 0, S({2: 5}, 9))
+        with pytest.raises(ValueError):
+            short.first_mismatch(full)
+        with pytest.raises(ValueError):
+            full.first_mismatch(short)
+        assert self.single(1, 0, S({2: 5}, 10)).first_mismatch(full) is None
+
 
 # -- the dense strided kernels against the dict reference -------------------
 
