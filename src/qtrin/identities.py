@@ -568,11 +568,16 @@ def _hierarchy_lhs(p, c):
 
 
 def _hierarchy_rhs(p, c):
+    """sum_j q^(coef j^2 + j) (L, (nu+2)j; (nu+2)j; q^3)_2 over the j with
+    |(nu+2)j| <= L, the only ones whose round trinomial is non-zero: at
+    nu = 40, L = 6 only j = 0 is built, and 12 of the 13 j in -L..L are
+    skipped."""
     nu, L = p["nu"], p["L"]
     coef = 3 * (nu + 2) * (nu + 1) // 2          # 3 * binom(nu+2, 2)
+    top = L // (nu + 2)
     return LaurentSeries.sum(
         _rt3(L, (nu + 2) * j, (nu + 2) * j).shift(2 * (coef * j * j + j))
-        for j in range(-L, L + 1))
+        for j in range(-top, top + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -855,13 +860,20 @@ def _bailey_lhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
     offsets = _BAILEY_KINDS[kind][0]
 
     def F(i):
+        # T_kind(i, b) = 0 for |b| > i, so only the offsets that land in
+        # [-i, i] add to F(i)
         return LaurentSeries.sum(
-            coeff * LaurentSeries.sum(
-                t_trinomial(TParams(kind, i, a + o, step)) for o in offsets)
-            for a, coeff in alpha.items())
-    lhs = LaurentSeries.sum(
-        (gaussian_binomial(L, i, step) * F(i)).shift(
-            _half_units(i * (i - kind), step)) for i in range(L + 1))
+            coeff * t_trinomial(TParams(kind, i, a + o, step))
+            for a, coeff in alpha.items() for o in offsets if abs(a + o) <= i)
+
+    def terms():
+        for i in range(L + 1):
+            f = F(i)
+            # an exact zero F(i) adds nothing, so [L, i] is not built
+            if not f.is_zero() or not f.is_exact:
+                yield (gaussian_binomial(L, i, step) * f).shift(
+                    _half_units(i * (i - kind), step))
+    lhs = LaurentSeries.sum(terms())
     if kind == 1:
         lhs = lhs + lhs.shift(L * step)
     return lhs
@@ -871,6 +883,9 @@ def _bailey_rhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
                 step: int) -> LaurentSeries:
     parts = []
     for a, coeff in alpha.items():
+        # [2L + (kind = -1), L - a] is zero outside this range of a
+        if not -L - (kind == -1) <= a <= L:
+            continue
         # exponent on the alpha side carries the support variable a,
         # not the bound summation index
         b = gaussian_binomial(2 * L + (kind == -1), L - a, step)

@@ -311,6 +311,13 @@ class LaurentSeries:
         cut = min(bounds) if bounds else None
         if not self._c or not other._c:
             return LaurentSeries.zero(cut)
+        if len(self._c) == 1 or len(other._c) == 1:
+            # c q^(e/2) times s is s shifted by e and scaled by c, cut to
+            # the product's cutoff; nothing is packed
+            m, s = (self, other) if len(self._c) == 1 else (other, self)
+            p = s.shift(m._lo)
+            p = p._head(p._upto(cut), cut)
+            return p if m._c[0] == 1 else p.scale_coeffs(m._c[0])
         # The n slots of the product on the common grid, n >= 1 since a
         # truncated factor keeps its lowest term at or below its cutoff;
         # only the first n slots of each factor reach them.

@@ -19,6 +19,7 @@ from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
                               verify_limit_stabilization)
 from qtrin.qblocks import gaussian_binomial, q_poch
 from qtrin.series import LaurentSeries, TrivariateSeries, exact_divide
+from qtrin.trinomials import TParams, t_trinomial
 
 
 def q(k):
@@ -267,7 +268,60 @@ class TestBuildsOnce:
         assert len(seen) == calls
 
 
+def every_term_bailey_sides(kind, alpha, L, step):
+    """Both Bailey sides summed over every a and i, zero T_kind and zero
+    binomials included: the reference for the builders that skip them."""
+    offsets = (0, 1) if kind == -1 else (0,)
+    powers = {0: (0,), 1: (1, -1), -1: (-1,)}[kind]
+    lhs = LaurentSeries.zero()
+    for i in range(L + 1):
+        f = LaurentSeries.zero()
+        for a, coeff in alpha.items():
+            f = f + coeff * LaurentSeries.sum(
+                t_trinomial(TParams(kind, i, a + o, step)) for o in offsets)
+        lhs = lhs + (gaussian_binomial(L, i, step) * f).shift(
+            i * (i - kind) * step // 2)
+    if kind == 1:
+        lhs = lhs + lhs.shift(L * step)
+    rhs = LaurentSeries.zero()
+    for a, coeff in alpha.items():
+        b = gaussian_binomial(2 * L + (kind == -1), L - a, step)
+        for s in powers:
+            rhs = rhs + coeff * b.shift(a * (a - s) * step // 2)
+    return lhs, rhs
+
+
+@st.composite
+def bailey_cases(draw):
+    """(kind, alpha, L, step): alpha holds monomials, exact or truncated,
+    at some a in [-L-3, L+3]."""
+    L = draw(st.integers(0, 6))
+    monomials = st.builds(
+        lambda c, e, cut: LaurentSeries({e: c}, cut),
+        st.sampled_from([1, -1, 3]), st.integers(-6, 12),
+        st.one_of(st.none(), st.none(), st.integers(12, 60)))
+    alpha = draw(st.dictionaries(st.integers(-L - 3, L + 3), monomials,
+                                 max_size=2 * L + 7))
+    return (draw(st.sampled_from([-1, 0, 1])), alpha, L,
+            draw(st.sampled_from([2, 6])))
+
+
 class TestBailey:
+    @given(bailey_cases())
+    # kind -1 at a = -i - 1 for i = 2: only T_-1(2, -2) of the pair is
+    # non-zero
+    @example((-1, {-3: LaurentSeries.one()}, 4, 2))
+    @example((-1, {-7: LaurentSeries.one(), 6: LaurentSeries.one()}, 6, 6))
+    @example((1, {9: LaurentSeries({2: -1}, 20)}, 6, 2))
+    # T_0(i, 1) = T_0(i, -1): each F(i), i >= 1, is a zero known only
+    # below a cutoff, which both sides keep
+    @example((0, {1: LaurentSeries({0: 1}, 20), -1: -LaurentSeries.one()},
+              3, 2))
+    @settings(deadline=None)
+    def test_skipped_terms_are_zero(self, case):
+        # equal series have equal cutoffs
+        assert bailey_sides(*case) == every_term_bailey_sides(*case)
+
     def test_empty_alpha(self):
         lhs, rhs = bailey_sides(0, {}, 3)
         assert lhs.is_zero() and rhs.is_zero()
@@ -628,6 +682,16 @@ class TestHierarchy:
             p = {"nu": nu, "L": L}
             assert REGISTRY["hierarchy"].lhs(p, None) == \
                 nested_loop_hierarchy_lhs(p, None), p
+
+    @pytest.mark.parametrize("nu", [1, 2, 5, 40])
+    def test_rhs_skips_only_zeros(self, nu):
+        coef = 3 * (nu + 2) * (nu + 1) // 2
+        for L in range(10):
+            want = LaurentSeries.sum(
+                identities._rt3(L, (nu + 2) * j, (nu + 2) * j).shift(
+                    2 * (coef * j * j + j)) for j in range(-L, L + 1))
+            assert REGISTRY["hierarchy"].rhs({"nu": nu, "L": L}, None) \
+                == want, L
 
     def test_deep_nu(self):
         # the enumeration must not take one stack frame per level

@@ -349,6 +349,15 @@ def wide_terms(draw):
     return {offset + stride * k: c for k, c in enumerate(coeffs)}
 
 
+@st.composite
+def monomial_pairs(draw):
+    """c q^(e/2) with c in {+-1, +-2, +-2^200} and e in -12..12, exact or
+    cut near e (below it, the zero series)."""
+    e = draw(st.integers(-12, 12))
+    c = draw(st.sampled_from([1, -1, 2, -2, 2 ** 200, -2 ** 200]))
+    return pair({e: c}, draw(st.one_of(st.none(), st.integers(e - 4, e + 20))))
+
+
 def pair(terms, cutoff=None):
     """The same series as a LaurentSeries and as the DictSeries reference."""
     return LaurentSeries(terms, cutoff), DictSeries(terms, cutoff)
@@ -425,6 +434,22 @@ class TestAgainstDictReference:
     @example(pair({0: 2 ** 100}), pair({}))
     def test_mul_wide_coefficients(self, a, b):
         same(a[0] * b[0], a[1] * b[1])
+
+    @given(monomial_pairs(),
+           pairs(terms=st.one_of(strided_terms(), wide_terms())),
+           st.booleans())
+    # exact times truncated monomial: cut at m.cutoff + s.min_exp = 3
+    @example(pair({3: 2}, 5), pair({-2: 1, 0: 3, 4: -1}), False)
+    # a monomial above its own cutoff is the zero series: the cut 3 - 2
+    # falls below the shifted min_exp 7 - 2, and the zero keeps it
+    @example(pair({7: -1}, 3), pair({-2: 1, 0: 3, 4: -1}), True)
+    @example(pair({0: 1}), pair({-3: 2, 3: 5}, 7), True)   # x * one
+    def test_mul_monomial(self, m, x, flip):
+        got, want = (x[0] * m[0], x[1] * m[1]) if flip \
+            else (m[0] * x[0], m[1] * x[1])
+        same(got, want)
+        if m[0] == LaurentSeries.one():
+            assert got == x[0]          # cutoff included
 
     @given(long_pairs, signs, st.integers(-40, 40))
     @example(pair(DENSE, 30), 1, -17)
