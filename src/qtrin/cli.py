@@ -28,7 +28,6 @@ from typing import Optional
 from .identities import (REGISTRY, IdentityInstance, VerificationReport,
                          _resolve, compute_side, identity_ids,
                          verify_identity)
-from .series import LaurentSeries
 
 USAGE_ERROR = 2
 
@@ -205,6 +204,12 @@ def _validate(instances):
             raise UsageError(str(exc)) from None
 
 
+def _graded(id: str) -> bool:
+    """Whether the sides of ``id`` are series in t: the ids with a t
+    cutoff."""
+    return "t_cutoff" in REGISTRY[id].param_names
+
+
 def _reports(instances, jobs: int):
     # fork starts every worker at the first submit: no more than needed;
     # one job never asks how many cores there are
@@ -222,9 +227,8 @@ def _reports(instances, jobs: int):
 
 def _run_instances(instances, jobs: int, fmt: str, out) -> int:
     _validate(instances)
-    # the ids graded in t are those with a t cutoff
-    writer = ReportWriter(fmt, out, any(
-        "t_cutoff" in REGISTRY[inst.id].param_names for inst in instances))
+    writer = ReportWriter(fmt, out,
+                          any(_graded(inst.id) for inst in instances))
     all_match = True
     try:
         for rep in _reports(instances, jobs):
@@ -262,10 +266,10 @@ def cmd_coeffs(args, out) -> int:
     params = _parse_params(args)
     inst = IdentityInstance(args.id, params, _cutoff_halves(args))
     _validate([inst])
-    side = compute_side(inst, args.side)
-    if not isinstance(side, LaurentSeries):
+    if _graded(inst.id):
         raise UsageError(f"{inst.id} {args.side} is a series in (t, q) "
                          "or (t, x, q), not q")
+    side = compute_side(inst, args.side)
     rows = [{"exponent_halves": e, "coefficient": c}
             for e, c in sorted(side.terms.items())]
     if args.format == "json":

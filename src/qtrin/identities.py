@@ -22,9 +22,8 @@ from typing import Callable, Optional, Union
 
 from . import qblocks, trinomials
 from .series import LaurentSeries, TrivariateSeries
-from .qblocks import (MonomialArg, div_poch, gaussian_binomial,
-                      inv_poch_infinite, inv_poch_series, poch_infinite,
-                      q_poch)
+from .qblocks import (MonomialArg, gaussian_binomial, inv_poch_infinite,
+                      inv_poch_series, poch_infinite, q_poch)
 from .trinomials import (RefinedTParams, TParams, TrinomialParams,
                          _half_units, refined_trinomial, round_trinomial,
                          t_trinomial)
@@ -79,54 +78,39 @@ def _outlook2_exp(m: int, n: int) -> int:
 # shared building blocks
 
 @lru_cache(maxsize=None)
-def _ratio4(M: int, m: int, n: int) -> LaurentSeries:
-    """(q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_d), d = M - 2n - m;
-    zero when an index is negative.  Carried from its predecessor, which
-    the sums over m and n have just built:
-      d = 0:          _ratio3(M, n), the same object;
-      m >= 1:         _ratio4(M, m-1, n) (1-q^(3(d+1))) / (1-q^m);
-      m = 0, n >= 1:  _ratio4(M, 0, n-1) (1-q^(3(d+2))) (1-q^(3(d+1)))
-                      / (1-q^(3n));
-      (M, 0, 0):      1.
-    Each step multiplies before it divides, so every partial result is a
-    polynomial and a remainder still raises.  The chain is walked up to the
-    predecessor first (see _ratio3)."""
-    d = M - 2 * n - m
-    if m < 0 or n < 0 or d < 0:
-        return LaurentSeries.zero()
-    if d == 0:
-        return _ratio3(M, n)
-    if m >= 1:
-        for j in range(m - 1):
-            _ratio4(M, j, n)
-        return _ratio4(M, m - 1, n).mul_one_minus(1, 6 * (d + 1)) \
-            .div_one_minus(1, 2 * m)
-    if n >= 1:
-        for k in range(n - 1):
-            _ratio4(M, 0, k)
-        return _ratio4(M, 0, n - 1).mul_one_minus(1, 6 * (d + 2)) \
-            .mul_one_minus(1, 6 * (d + 1)).div_one_minus(1, 6 * n)
-    return LaurentSeries.one()
+def _ratio3(L: int) -> tuple[LaurentSeries, ...]:
+    """The quotients (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n), n = 0..L//2.
+    The head n = 0 is prod_{k=1..L} (1-q^(3k)) / (1-q^k), whose partial
+    products are the polynomials prod_{j<=k} (1+q^j+q^(2j)); entry n is
+    entry n-1 times (1-q^(L-2n+2)) (1-q^(L-2n+1)) / (1-q^(3n)).  Each step
+    multiplies before it divides, so every partial result is a polynomial
+    and a remainder still raises."""
+    head = LaurentSeries.one()
+    for k in range(1, L + 1):
+        head = head.mul_one_minus(1, 6 * k).div_one_minus(1, 2 * k)
+    out = [head]
+    for n in range(1, L // 2 + 1):
+        r = L - 2 * n
+        out.append(out[-1].mul_one_minus(1, 2 * (r + 2))
+                   .mul_one_minus(1, 2 * (r + 1)).div_one_minus(1, 6 * n))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _ratio3(L: int, n: int) -> LaurentSeries:
-    """(q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n); zero when n < 0 or
-    L - 2n < 0.  At n = 0 it is (q^3;q^3)_L divided by (q;q)_L one factor
-    at a time in base q^(1/2), then scaled to q; for n >= 1 it is
-    _ratio3(L, n-1) (1-q^(L-2n+2)) (1-q^(L-2n+1)) / (1-q^(3n)), every
-    partial result a polynomial.  The chain is walked up from its head to
-    the predecessor first, so each entry built finds its own predecessor
-    cached: a cold request far down the chain nests no call per step."""
-    r = L - 2 * n
-    if n < 0 or r < 0:
-        return LaurentSeries.zero()
-    if n == 0:
-        return div_poch(q_poch(L, 3), L, 1).scale_exponents(2)
-    for k in range(n - 1):
-        _ratio3(L, k)
-    return _ratio3(L, n - 1).mul_one_minus(1, 2 * (r + 2)) \
-        .mul_one_minus(1, 2 * (r + 1)).div_one_minus(1, 6 * n)
+def _ratio4(M: int) -> dict[tuple[int, int], LaurentSeries]:
+    """(m, n) -> (q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_d) over
+    m + 2n <= M, d = M - 2n - m.  Column n starts at its d = 0 entry, the
+    same object as _ratio3(M)[n], and walks down m: the entry at d is the
+    one at d - 1 times (1-q^(m+1)) / (1-q^(3d)), multiplied before it is
+    divided as in _ratio3."""
+    table = {}
+    for n, r in enumerate(_ratio3(M)):
+        top = M - 2 * n
+        table[top, n] = r
+        for d in range(1, top + 1):
+            r = r.mul_one_minus(1, 2 * (top - d + 1)).div_one_minus(1, 6 * d)
+            table[top - d, n] = r
+    return table
 
 
 # The lru_caches of the exact path, held as the cached callables
@@ -218,8 +202,8 @@ def _ratio3_sum(L: int, sign: int, *exps: Callable[[int], int]
                 ) -> LaurentSeries:
     """sum_n sign^n (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n) q^(e(n)/2),
     one term for each exponent e in ``exps`` (half-units)."""
-    signed = ((n, _ratio3(L, n) if sign ** n > 0 else -_ratio3(L, n))
-              for n in range(L // 2 + 1))
+    signed = ((n, r if sign ** n > 0 else -r)
+              for n, r in enumerate(_ratio3(L)))
     return LaurentSeries.sum(r.shift(e(n)) for n, r in signed for e in exps)
 
 
@@ -234,7 +218,8 @@ def _mn_sum(M: int, term: Callable[[int, int], LaurentSeries],
 
 
 def _ratio4_sum(M: int, *exps: Callable[[int, int], int]) -> LaurentSeries:
-    return _mn_sum(M, lambda m, n: _ratio4(M, m, n), *exps)
+    table = _ratio4(M)
+    return _mn_sum(M, lambda m, n: table[m, n], *exps)
 
 
 def _fincap_term(N: int, k: int) -> Callable[[int, int], LaurentSeries]:

@@ -111,24 +111,20 @@ def _acting(out: LaurentSeries, n: int, step: int) -> range:
     return range(1, n + 1 if top is None else min(n, top // step) + 1)
 
 
-def div_poch(out: LaurentSeries, n: int, step: int) -> LaurentSeries:
-    """out / (q_step; q_step)_n, one factor (1 - q_step^k) at a time; an
-    exact out that is not a multiple raises ValueError, and a truncated
-    one gives the exact quotient truncated at its cutoff."""
-    for k in _acting(out, n, step):
-        out = out.div_one_minus(1, k * step)
-    return out
-
-
 def inv_poch_series(n: int, step: int, cutoff: int) -> LaurentSeries:
-    """Truncated 1/(q_step; q_step)_n; the zero series for n < 0.
+    """Truncated 1/(q_step; q_step)_n, one factor (1 - q_step^k) at a
+    time, stopping at the first that reaches no kept term; the zero
+    series for n < 0.
 
     The n < 0 branch is the convention that makes summands with
     out-of-range indices vanish, so negative n is a value, not an error.
     """
     if n < 0:
         return LaurentSeries.zero(cutoff)
-    return div_poch(LaurentSeries.one().truncate(cutoff), n, step)
+    out = LaurentSeries.one().truncate(cutoff)
+    for k in _acting(out, n, step):
+        out = out.div_one_minus(1, k * step)
+    return out
 
 
 def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,
@@ -148,7 +144,8 @@ def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,
 
 @lru_cache(maxsize=None)
 def _gaussian_base(top: int, bottom: int) -> LaurentSeries:
-    """[top, bottom] in base q^(1/2), cached."""
+    """[top, bottom] in base q^(1/2), cached; callers pass bottom <=
+    top - bottom, so one entry serves [top, k] and [top, top - k]."""
     return _gaussian_loop(LaurentSeries.one(), top, bottom, 1)
 
 
@@ -166,6 +163,7 @@ def gaussian_binomial(top: int, bottom: int, step: int = 2,
     if bottom < 0 or top < 0 or bottom > top:
         return LaurentSeries.zero(cutoff)
     if cutoff is None:
-        return _gaussian_base(top, bottom).scale_exponents(step)
+        return _gaussian_base(top, min(bottom, top - bottom)) \
+            .scale_exponents(step)
     return _gaussian_loop(LaurentSeries.one().truncate(cutoff), top, bottom,
                           step)

@@ -13,8 +13,10 @@ import sys
 import pytest
 
 from qtrin import cli
-from qtrin.identities import REGISTRY, IdentityInstance, VerificationReport
+from qtrin.identities import (REGISTRY, IdentityInstance, VerificationReport,
+                              compute_side)
 from qtrin.series import LaurentSeries, TrivariateSeries
+from test_golden_sides import CASES as GOLDEN_CASES
 
 
 def run(argv):
@@ -460,16 +462,29 @@ class TestCoeffs:
         assert code == 2
 
     @pytest.mark.parametrize("side", ["LHS", "RHS"])
-    def test_bivariate_side_exits_2(self, side, capsys):
-        # genfun_products is a series in (t, q), lemma_genfun in (t, x, q)
+    def test_bivariate_side_exits_2(self, side, capsys, monkeypatch):
+        # genfun_products is a series in (t, q), lemma_genfun in (t, x, q);
+        # both are rejected from the registry, before any side is built
+        def unbuilt(p, c):
+            raise AssertionError("a side was built")
         for id, params in (("genfun_products", ["pair=1", "t_cutoff=2"]),
                            ("lemma_genfun", ["n=1", "t_cutoff=2"])):
+            monkeypatch.setitem(REGISTRY, id, dataclasses.replace(
+                REGISTRY[id], lhs=unbuilt, rhs=unbuilt))
             argv = ["coeffs", "--id", id, "--cutoff", "10", "--side", side]
             for param in params:
                 argv += ["--param", param]
             code, text = run(argv)
             assert (code, text) == (2, ""), id
             assert "series in (t, q)" in capsys.readouterr().err
+
+    def test_graded_ids_are_the_trivariate_sides(self):
+        # one small instance of every registry id
+        for inst in GOLDEN_CASES:
+            for side in ("LHS", "RHS"):
+                got = compute_side(inst, side)
+                assert cli._graded(inst.id) == \
+                    isinstance(got, TrivariateSeries), (inst.id, side)
 
 
 class TestPartitionsCommand:

@@ -1,15 +1,14 @@
-"""Tests for Pochhammer symbols, Gaussian binomials and exact division."""
+"""Tests for Pochhammer symbols and Gaussian binomials."""
 
 from math import comb
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from qtrin.series import LaurentSeries
-from qtrin.qblocks import (MonomialArg, Q, ZERO_ARG, div_poch,
-                           gaussian_binomial, inv_poch_infinite,
-                           inv_poch_series, poch_finite, poch_infinite,
-                           q_poch)
+from qtrin.qblocks import (MonomialArg, Q, ZERO_ARG, gaussian_binomial,
+                           inv_poch_infinite, inv_poch_series, poch_finite,
+                           poch_infinite, q_poch)
 
 
 def q(k):
@@ -161,50 +160,15 @@ class TestInvPochSeries:
         assert gaussian_binomial(10_000, 5_000, 2, 20) == want
         assert len(calls) <= 11
 
+    def test_truncated_stops_at_cutoff(self):
+        assert inv_poch_series(50, 2, q(3)) == inv_poch_series(3, 2, q(3))
+
     @given(st.integers(0, 6), st.sampled_from([2, 4, 6]))
     def test_reciprocal_of_finite(self, n, step):
         c = q(10)
         prod = inv_poch_series(n, step, c) * poch_finite(
             MonomialArg(1, step), step, n)
         assert prod.first_mismatch(LaurentSeries.one().truncate(c)) is None
-
-
-class TestDivPoch:
-    @given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([1, 2, 6]))
-    def test_exact_quotient(self, n, k, step):
-        # (q_s;q_s)_(n+k) / (q_s;q_s)_n = (q_s^(n+1);q_s)_k
-        want = poch_finite(MonomialArg(1, (n + 1) * step), step, k)
-        assert div_poch(q_poch(n + k, step), n, step) == want
-
-    def test_remainder_raises(self):
-        # (q;q)_2 / (q;q)_3 leaves 1/(1 - q^3)
-        with pytest.raises(ValueError):
-            div_poch(q_poch(2, 2), 3, 2)
-
-    def test_truncated_stops_at_cutoff(self):
-        assert div_poch(LaurentSeries.one().truncate(q(3)), 50, 2) == \
-            inv_poch_series(3, 2, q(3))
-
-    @given(st.integers(-20, -1),
-           st.dictionaries(st.integers(1, 30), st.integers(-5, 5),
-                           max_size=6),
-           st.integers(-10, 12), st.integers(0, 6),
-           st.sampled_from([1, 2, 6]))
-    @example(-10, {}, 4, 5, 2)
-    def test_truncated_laurent(self, lo, rest, cutoff, n, step):
-        # out has a negative lowest exponent lo, so factors up to
-        # q^(cutoff - lo) reach a kept term: the quotient is out times
-        # the geometric series 1 / (1 - q_step^k), k = 1..n, through that
-        # reach
-        out = LaurentSeries({lo: 1, **{lo + k: c for k, c in rest.items()}},
-                            cutoff)
-        reach = max(0, cutoff - lo)
-        want = LaurentSeries.one().truncate(reach)
-        for k in range(1, n + 1):
-            e = k * step
-            want = want * LaurentSeries(
-                {i * e: 1 for i in range(reach // e + 1)}, reach)
-        assert div_poch(out, n, step) == out * want
 
 
 class TestGaussianBinomial:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtrin.identities import cache_sizes, clear_caches
-from qtrin.qblocks import gaussian_binomial
-from qtrin.series import LaurentSeries
+from qtrin.qblocks import gaussian_binomial, q_poch
+from qtrin.series import LaurentSeries, exact_divide
 from qtrin.trinomials import (RefinedTParams, TParams, TrinomialParams,
                               refined_trinomial, round_trinomial, t_trinomial)
 
@@ -100,6 +100,15 @@ class TestRoundTrinomial:
         t_trinomial(TParams(1, L, a))
         t_trinomial(TParams(1, L, -a))
         assert cache_sizes()["_round_trinomial"] == 1
+
+    def test_gaussian_pair_shares_one_cache_entry(self):
+        # [7, 2] and [7, 5] in bases q and q^3 read one cached entry
+        clear_caches()
+        for step in (2, 6):
+            for k in (2, 5):
+                assert gaussian_binomial(7, k, step) == exact_divide(
+                    q_poch(7, step), q_poch(k, step) * q_poch(7 - k, step))
+        assert cache_sizes()["_gaussian_base"] == 1
 
     def test_cold_request_keeps_one_row(self):
         clear_caches()
