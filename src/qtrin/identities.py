@@ -26,7 +26,7 @@ from .qblocks import (MonomialArg, gaussian_binomial, inv_poch_infinite,
                       inv_poch_series, poch_infinite, q_poch)
 from .trinomials import (RefinedTParams, TParams, TrinomialParams,
                          _half_units, refined_trinomial, round_trinomial,
-                         t_trinomial)
+                         round_trinomial_sum, t_shift, t_trinomial)
 
 Side = Union[LaurentSeries, TrivariateSeries]
 
@@ -138,16 +138,13 @@ def clear_caches() -> None:
     trinomials._ROWS.clear()
 
 
-def _rt3(L: int, b: int, a: int, shift: int = 0,
-         c: Optional[int] = None) -> LaurentSeries:
-    """q^(shift/2) (L, b; a; q^3)_2, exact or truncated at c."""
-    below = None if c is None else c - shift
-    return round_trinomial(TrinomialParams(L, b, a, step=6),
-                           below).shift(shift)
-
-
-def _t3(n: int, L: int, a: int) -> LaurentSeries:
-    return t_trinomial(TParams(n, L, a, step=6))
+def _t3_sum(n: int, L: int, terms) -> LaurentSeries:
+    """sum T_n(L, j; q^3) q^(e/2) over the (j, e) in ``terms``.  Since
+    T_n(L, j) is q^(s/2) (L, j-n; j; q^3)_2 at 1/q, s = t_shift(n, L, j, 6),
+    it is the round-trinomial sum at exponents -(s + e), reversed once."""
+    return round_trinomial_sum(
+        L, 6, ((j - n, j, -(t_shift(n, L, j, 6) + e)) for j, e in terms)
+    ).reverse_exponents()
 
 
 def _double_sum(cutoff: int, *exps: Callable[[int, int], int]
@@ -240,13 +237,10 @@ def _first_pair_lhs(p, c):
 def _first_pair_rhs(p, c):
     L = p["L"]
     # the second family's (L, j; j-1) at j + 1 is the first family's
-    # (L, j+1; j), so each is built once and enters at both exponents
-    def terms():
-        for j in range(-L, L + 1):
-            lo, hi = sorted((2 * (L + j + 1), 2 * (L - j)))
-            t = _rt3(L, j + 1, j, lo, c)
-            yield from (t, t.shift(hi - lo))
-    return LaurentSeries.sum(terms(), c)
+    # (L, j+1; j), so each enters at both exponents
+    return round_trinomial_sum(L, 6, ((j + 1, j, e) for j in range(-L, L + 1)
+                                      for e in (2 * (L + j + 1), 2 * (L - j))),
+                               c)
 
 
 def _second_pair_lhs(p, c):
@@ -255,8 +249,8 @@ def _second_pair_lhs(p, c):
 
 def _second_pair_rhs(p, c):
     L = p["L"]
-    return LaurentSeries.sum((_rt3(L, j - 1, j, 2 * (2 * L - j), c)
-                              for j in range(-L, L + 1)), c)
+    return round_trinomial_sum(L, 6, ((j - 1, j, 2 * (2 * L - j))
+                                      for j in range(-L, L + 1)), c)
 
 
 def _third_pair_lhs(p, c):
@@ -265,8 +259,8 @@ def _third_pair_lhs(p, c):
 
 def _third_pair_rhs(p, c):
     L = p["L"]
-    return LaurentSeries.sum((_rt3(L, j, j, 2 * (L - j), c)
-                              for j in range(-L, L + 1)), c)
+    return round_trinomial_sum(L, 6, ((j, j, 2 * (L - j))
+                                      for j in range(-L, L + 1)), c)
 
 
 def _first_pair_dual_lhs(p, c):
@@ -278,10 +272,9 @@ def _first_pair_dual_lhs(p, c):
 def _first_pair_dual_rhs(p, c):
     L = p["L"]
     # sum_j (T(j) + T(j+1)) q^((3j^2+j)/2): T_{-1}(L, j) is zero past
-    # |j| = L and enters at j and at j - 1, so each is built once
-    ts = ((j, _t3(-1, L, j)) for j in range(-L, L + 1))
-    return LaurentSeries.sum(t.shift(e) for j, t in ts
-                             for e in (3 * j * j + j, 3 * j * j - 5 * j + 2))
+    # |j| = L and enters at j and at j - 1
+    return _t3_sum(-1, L, ((j, e) for j in range(-L, L + 1)
+                           for e in (3 * j * j + j, 3 * j * j - 5 * j + 2)))
 
 
 def _second_pair_dual_lhs(p, c):
@@ -291,8 +284,7 @@ def _second_pair_dual_lhs(p, c):
 
 def _second_pair_dual_rhs(p, c):
     L = p["L"]
-    return LaurentSeries.sum(_t3(1, L, j).shift(3 * j * j - j)
-                             for j in range(-L, L + 1))
+    return _t3_sum(1, L, ((j, 3 * j * j - j) for j in range(-L, L + 1)))
 
 
 def _third_pair_dual_lhs(p, c):
@@ -302,8 +294,7 @@ def _third_pair_dual_lhs(p, c):
 
 def _third_pair_dual_rhs(p, c):
     L = p["L"]
-    return LaurentSeries.sum(_t3(0, L, j).shift(3 * j * j + 2 * j)
-                             for j in range(-L, L + 1))
+    return _t3_sum(0, L, ((j, 3 * j * j + 2 * j) for j in range(-L, L + 1)))
 
 
 def _t_sum_sides(kind: int):
@@ -560,9 +551,9 @@ def _hierarchy_rhs(p, c):
     nu, L = p["nu"], p["L"]
     coef = 3 * (nu + 2) * (nu + 1) // 2          # 3 * binom(nu+2, 2)
     top = L // (nu + 2)
-    return LaurentSeries.sum(
-        _rt3(L, (nu + 2) * j, (nu + 2) * j).shift(2 * (coef * j * j + j))
-        for j in range(-top, top + 1))
+    return round_trinomial_sum(
+        L, 6, (((nu + 2) * j, (nu + 2) * j, 2 * (coef * j * j + j))
+               for j in range(-top, top + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,11 @@ def _pack(c: list, w: int, signs: int) -> int:
 def _unpack(x: int, n: int, w: int, signs: int) -> list:
     """The first n slots of x = sum c[i] X^i: adding X / 2 to each makes it
     non-negative, so none borrows from the next, and the XOR turns each
-    back into its word."""
+    back into its word.  With signs = 0 no slot is negative, and each
+    reads as unsigned, up to X - 1."""
     v = ((x + signs) ^ signs) & ((1 << 64 * w * n) - 1)
     words = memoryview(v.to_bytes(8 * w * n, "little"))
-    c = words.cast("q")[w - 1::w].tolist()
+    c = words.cast("q" if signs else "Q")[w - 1::w].tolist()
     low = words.cast("Q")       # the words below a slot's top are unsigned
     for j in range(w - 2, -1, -1):
         c = list(map(or_, map(lshift, c, repeat(64)), low[j::w]))
@@ -119,6 +120,26 @@ def unpack_series(x: int, w: int, lo: int) -> "LaurentSeries":
     sum c_i X^i with no negative slot."""
     return _new(lo, 1, _unpack(x, x.bit_length() // (64 * w) + 1, w, 0),
                 None)
+
+
+def unpack_classes(parts, w: int, step: int) -> "LaurentSeries":
+    """The exact series sum c_i q^((lo + i * step)/2) over the (x, lo) in
+    parts, each x = sum c_i X^i a packed integer with no negative slot, and
+    each lo in its own residue class mod step: every x is unpacked once and
+    spread onto the common grid, where no two classes meet."""
+    cs = [(lo, _unpack(x, x.bit_length() // (64 * w) + 1, w, 0))
+          for x, lo in parts if x]
+    if not cs:
+        return LaurentSeries.zero()
+    low = min(lo for lo, c in cs)
+    g = gcd(step, *(lo - low for lo, c in cs))
+    k = step // g
+    out = [0] * ((max(lo + (len(c) - 1) * step for lo, c in cs) - low) // g
+                 + 1)
+    for lo, c in cs:
+        p = (lo - low) // g
+        out[p:p + k * len(c):k] = c
+    return _new(low, g, out, None)
 
 
 def _place(parts, cut: Optional[int]) -> "LaurentSeries":

@@ -20,8 +20,15 @@ from (0, b; a)_2 = [a = 0].  An entry with a > L is 0, and one with
 a < 0 is folded by (L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, which keeps
 d.  Rows do not depend on the step: q and q^3 read the same row through
 ``scale_exponents``.  A row is kept only when a caller asked for it; the
-rows built on the way are dropped.  Rows are stepped as packed integers,
-one per entry (see ``_RowStore``).  The rule only adds shifted entries,
+rows built on the way are dropped.  Rows are stepped and kept as packed
+integers, one per entry (see ``_RowStore``), and no whole row is ever
+unpacked: an entry asked for on its own is unpacked and cached, and
+``round_trinomial_sum`` adds the packed entries of a sum over b, a and
+shifts as integers, one per class of the shifts mod step, and unpacks
+each class once.  Row L has slots of 64 w bits, w = slot_words(3^L); a
+class sum that could pass them raises OverflowError.  The sums of the
+pair, dual and hierarchy sides stay within 2 * 3^L, which fits, since
+3^L < 2^(64 w - 1).  The rule only adds shifted entries,
 so the exact path has no division and no remainder check: its
 correctness rests on the tests against sums of products of Gaussian
 binomials.
@@ -33,11 +40,13 @@ and directly in base q_step.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .series import LaurentSeries, pack_series, slot_words, unpack_series
+from .series import (LaurentSeries, pack_series, slot_words, unpack_classes,
+                     unpack_series)
 from .qblocks import gaussian_binomial
 
 
@@ -152,52 +161,55 @@ def _next_row(k: int, prev: dict, bits: int) -> dict:
 
 
 class _RowStore:
-    """Rows of exact round trinomials, kept only where a caller asked.
+    """Rows of exact round trinomials, kept packed, and only where a caller
+    asked.
 
     Row L holds every d of a window [lo, hi] with lo <= 0 < hi.  Entry d
     needs d and d + 1 (d <= 0) or d - 1 and d (d >= 1) of the row below,
     so such a window is closed: a row is built over it in a loop from the
-    highest kept row that covers it, or from row 0.  The loop steps packed
-    integers (see _next_row) with slots of 64 w bits: every coefficient up
-    to row L is below 3^L, the value of the whole row at q = 1, so no slot
-    carries; only row L is unpacked."""
+    highest kept row that covers it, or from row 0.  Each entry is one
+    ``pack_series`` integer (see _next_row) with slots of 64 w bits,
+    w = slot_words(3^L): every coefficient up to row L is below 3^L, the
+    value of the whole row at q = 1, so no slot carries.  A row is kept
+    packed; an entry is unpacked only when it is asked for on its own
+    (``entry``), and sums read the packed entries (``row``)."""
 
     def __init__(self):
         self._rows: dict[int, dict] = {}
 
+    def row(self, L: int, lo: int, hi: int) -> tuple[dict, int]:
+        """Row L over at least the window [lo, hi], lo <= 0 < hi, as d ->
+        the packed entries a = 0..L, and the slot words w of its entries."""
+        row = self._rows.get(L)
+        if row is None or lo not in row or hi not in row:
+            row = self._build(L, min([lo, *(row or ())]),
+                              max([hi, *(row or ())]))
+        return row, slot_words(3 ** L)
+
     def entry(self, L: int, d: int, a: int) -> LaurentSeries:
         """(L, a + d; a)_2 for 0 <= a <= L, exponent e standing for
         q_step^e."""
-        row = self._rows.get(L)
-        if row is None or d not in row:
-            self._build(L, min([d, 0, *(row or ())]),
-                        max([d, 1, *(row or ())]))
-            row = self._rows[L]
-        return row[d][a]
+        row, w = self.row(L, min(d, 0), max(d, 1))
+        return unpack_series(row[d][a], w, -_offset(d))
 
-    def _build(self, L: int, lo: int, hi: int) -> None:
+    def _build(self, L: int, lo: int, hi: int) -> dict:
         start = max((k for k, r in self._rows.items()
                      if k < L and lo in r and hi in r), default=None)
         w = slot_words(3 ** L)
-        bits = 64 * w
         if start is None:
-            start, entries = 0, {d: [LaurentSeries.one()]
-                                 for d in range(lo, hi + 1)}
+            start, row = 0, {d: [1 << 64 * w * _offset(d)]
+                             for d in range(lo, hi + 1)}
         else:
-            entries = self._rows[start]
-        row = {d: [pack_series(e, w, _offset(d)) for e in entries[d]]
-               for d in range(lo, hi + 1)}
+            # a kept row is packed at its own, perhaps narrower, slots
+            v = slot_words(3 ** start)
+            row = {d: [x if v == w else
+                       pack_series(unpack_series(x, v, 0), w, 0)
+                       for x in self._rows[start][d]]
+                   for d in range(lo, hi + 1)}
         for k in range(start + 1, L + 1):
-            row = _next_row(k, row, bits)
-        # entries already handed out stay the ones kept, so that a wider
-        # rebuild holds no second copy of them; each packed entry is
-        # dropped as it is unpacked
-        kept = self._rows.get(L, {})
-        for d, col in row.items():
-            if d not in kept:
-                for a, x in enumerate(col):
-                    col[a] = unpack_series(x, w, -_offset(d))
-        self._rows[L] = {**row, **kept}
+            row = _next_row(k, row, 64 * w)
+        self._rows[L] = row
+        return row
 
     def clear(self) -> None:
         self._rows.clear()
@@ -240,6 +252,60 @@ def round_trinomial(p: TrinomialParams,
     return _round_sum(p.L, p.b, p.a, p.step, cutoff)
 
 
+def round_trinomial_sum(L: int, step: int, terms,
+                        cutoff: Optional[int] = None) -> LaurentSeries:
+    """sum (L, b; a; q_step)_2 q^(shift/2) over the (b, a, shift) in
+    ``terms`` (any iterable; a term may repeat).
+
+    With a cutoff, the sum of the truncated builds, one for each distinct
+    (b, a) at its lowest shift.  Exact, it reads the packed entries of row
+    L: a < 0 is folded as in ``round_trinomial`` and a > L dropped, and the
+    entries whose shifts share a class mod step are added as integers, one
+    per class, each unpacked once.  Nothing is cached but the row."""
+    terms = list(terms)
+    if cutoff is not None:
+        low: dict = {}
+        for b, a, sh in terms:
+            low[b, a] = min(sh, low.get((b, a), sh))
+        built = {k: round_trinomial(TrinomialParams(L, *k, step), cutoff - sh)
+                 for k, sh in low.items()}
+        return LaurentSeries.sum((built[b, a].shift(sh) for b, a, sh in terms),
+                                 cutoff)
+    kept = []
+    for b, a, sh in terms:
+        if a < 0:
+            b, a, sh = b - 2 * a, -a, sh + a * (a - b) * step
+        if a <= L:
+            kept.append((b - a, a, sh))
+    if not kept:
+        return LaurentSeries.zero()
+    ds = [d for d, a, sh in kept]
+    row, w = _ROWS.row(L, min(0, *ds), max(1, *ds))
+    # At q = 1 an entry is the trinomial coefficient T(L, a), whatever b,
+    # and T(L, 0) + 2 (T(L, 1) + ... + T(L, L)) = 3^L.  So no slot of a
+    # class sum passes max(m_0, m / 2) 3^L, with m_0 terms at a = 0 and at
+    # most m at any a > 0; unsigned slots of 64 w bits hold it.
+    count = Counter(a for d, a, sh in kept)
+    m0 = count.pop(0, 0)
+    if max(2 * m0, 0, *count.values()) * 3 ** L >= 1 << 64 * w + 1:
+        raise OverflowError(f"a sum of {len(kept)} entries of row {L} may "
+                            f"pass its slots of {64 * w} bits")
+    # an entry holds q_step^e at slot e + _offset(d); at shift s step + r
+    # that term is at slot e + s - base of the class r sum, so the entry
+    # moves up k - base slots, k = s - _offset(d)
+    classes: dict = {}
+    for d, a, sh in kept:
+        r = sh % step
+        classes.setdefault(r, []).append(((sh - r) // step - _offset(d),
+                                          row[d][a]))
+    parts = []
+    for r, xs in classes.items():
+        base = min(k for k, x in xs)
+        parts.append((sum(x << 64 * w * (k - base) for k, x in xs),
+                      base * step + r))
+    return unpack_classes(parts, w, step)
+
+
 def _half_units(u: int, step: int) -> int:
     """The exponent of Q^(u/2), Q = q_step, in half-units of q; raises
     ValueError unless it is whole."""
@@ -256,8 +322,13 @@ def t_trinomial(p: TParams) -> LaurentSeries:
     T_n(L,a;q) = q^{(L(L-n) - a(a-n))/2} * (L, a-n; a; 1/q)_2.
     """
     base = _exact_round(p.L, p.a - p.n, p.a, p.step).reverse_exponents()
-    return base.shift(_half_units(p.L * (p.L - p.n) - p.a * (p.a - p.n),
-                                  p.step))
+    return base.shift(t_shift(p.n, p.L, p.a, p.step))
+
+
+def t_shift(n: int, L: int, a: int, step: int) -> int:
+    """The s, in half-units, with T_n(L, a; q_step) = q^(s/2) times
+    (L, a-n; a; q_step)_2 at q -> 1/q."""
+    return _half_units(L * (L - n) - a * (a - n), step)
 
 
 def refined_trinomial(p: RefinedTParams) -> LaurentSeries:

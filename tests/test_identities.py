@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qtrin import identities
+from qtrin import identities, trinomials
 from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
                               bailey_sides, cache_sizes, clear_caches,
                               compute_side, verify_identity, verify_lemma31,
@@ -20,7 +20,8 @@ from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
 from qtrin.qblocks import (MonomialArg, gaussian_binomial, poch_finite,
                            q_poch)
 from qtrin.series import LaurentSeries, TrivariateSeries, exact_divide
-from qtrin.trinomials import TParams, t_trinomial
+from qtrin.trinomials import (TParams, TrinomialParams, round_trinomial,
+                              t_trinomial)
 
 
 def q(k):
@@ -240,6 +241,8 @@ class TestCaches:
 
         verify_identity(inst)
         verify_identity(IdentityInstance("thm71", {"M": 2}))
+        # the pair sums read packed rows; T_n is built from a cached entry
+        verify_identity(IdentityInstance("bmo_transform", {"L": 3, "a": 1}))
         assert all(n > 0 for n in cache_sizes().values())
         first, second = run_cold(), run_cold()
         assert first == second
@@ -248,12 +251,35 @@ class TestCaches:
 
 class TestBuildsOnce:
     """A sum builds each of its q-blocks once and shifts it to every
-    exponent it enters at: one round trinomial per j in the first pair's
-    RHS, one double sum for both exponents of cap2, and (-q^3;q^3)_inf
-    once for both Capparelli products."""
+    exponent it enters at: row L once, in one round-trinomial sum, for the
+    first pair's RHS, one double sum for both exponents of cap2, and
+    (-q^3;q^3)_inf once for both Capparelli products."""
+
+    def test_first_pair_rhs_builds_its_row_once(self, monkeypatch):
+        clear_caches()
+        build, seen = trinomials._RowStore._build, []
+
+        def counted(self, L, lo, hi):
+            seen.append(L)
+            return build(self, L, lo, hi)
+        monkeypatch.setattr(trinomials._RowStore, "_build", counted)
+        compute_side(IdentityInstance("first_pair", {"L": 10}), "RHS")
+        assert seen == [10]
+
+    def test_exact_sums_unpack_no_entry_on_its_own(self):
+        # the six pair and dual RHS and the hierarchy RHS add packed
+        # entries: none is unpacked into the entry cache
+        clear_caches()
+        for id in ("first_pair", "second_pair", "third_pair",
+                   "first_pair_dual", "second_pair_dual",
+                   "third_pair_dual"):
+            compute_side(IdentityInstance(id, {"L": 12}), "RHS")
+        compute_side(IdentityInstance("hierarchy", {"nu": 2, "L": 9}), "RHS")
+        assert cache_sizes()["_round_trinomial"] == 0
+        assert cache_sizes()["round_rows"] == 2
 
     @pytest.mark.parametrize("id, side, params, cutoff, name, calls", [
-        ("first_pair", "RHS", {"L": 10}, None, "round_trinomial", 21),
+        ("first_pair", "RHS", {"L": 10}, None, "round_trinomial_sum", 1),
         ("cap2", "LHS", {}, q(30), "_double_sum", 1),
         ("outlook2", "RHS", {}, q(30), "poch_infinite", 5),
     ])
@@ -673,7 +699,8 @@ class TestHierarchy:
         coef = 3 * (nu + 2) * (nu + 1) // 2
         for L in range(10):
             want = LaurentSeries.sum(
-                identities._rt3(L, (nu + 2) * j, (nu + 2) * j).shift(
+                round_trinomial(TrinomialParams(
+                    L, (nu + 2) * j, (nu + 2) * j, step=6)).shift(
                     2 * (coef * j * j + j)) for j in range(-L, L + 1))
             assert REGISTRY["hierarchy"].rhs({"nu": nu, "L": L}, None) \
                 == want, L

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
-                          pack_series, slot_words, unpack_series)
+                          pack_series, slot_words, unpack_classes,
+                          unpack_series)
 
 from dict_series import DictSeries
 
@@ -548,6 +549,34 @@ class TestPacking:
         if not s.is_zero():
             assert x.bit_length() > 64 * w * lowest
             assert x & ((1 << 64 * w * lowest) - 1) == 0
+
+
+@st.composite
+def packed_classes(draw):
+    """(parts, w, step, reference): up to step packed integers of unsigned
+    slots of 64 w bits, up to X - 1, each lowest exponent in its own class
+    mod step, and their sum as a DictSeries."""
+    step = draw(st.sampled_from([1, 2, 3, 6]))
+    w = draw(st.integers(1, 3))
+    top = (1 << 64 * w) - 1
+    slot = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    parts, terms = [], {}
+    for r in draw(st.sets(st.integers(0, step - 1), max_size=step)):
+        lo = r + step * draw(st.integers(-6, 6))
+        c = draw(st.lists(slot, max_size=8))
+        parts.append((sum(x << 64 * w * i for i, x in enumerate(c)), lo))
+        terms.update({lo + step * i: x for i, x in enumerate(c)})
+    return parts, w, step, DictSeries(terms)
+
+
+class TestUnpackClasses:
+    @given(packed_classes())
+    # a full top word reads unsigned
+    @example(([(2 ** 64 - 1 << 64, -3), (1, 0)], 1, 2,
+              DictSeries({-1: 2 ** 64 - 1, 0: 1})))
+    def test_matches_dict_reference(self, case):
+        parts, w, step, want = case
+        same(unpack_classes(parts, w, step), want)
 
 
 class TestSum:

@@ -7,7 +7,8 @@ from qtrin.identities import cache_sizes, clear_caches
 from qtrin.qblocks import gaussian_binomial, q_poch
 from qtrin.series import LaurentSeries, exact_divide
 from qtrin.trinomials import (RefinedTParams, TParams, TrinomialParams,
-                              refined_trinomial, round_trinomial, t_trinomial)
+                              refined_trinomial, round_trinomial,
+                              round_trinomial_sum, t_trinomial)
 
 
 def q(k):
@@ -208,6 +209,68 @@ class TestRows:
         clear_caches()
         got = round_trinomial(TrinomialParams(50, 0, 2, 6))
         assert got == two_binomial_round_sum(50, 0, 2, 6)
+
+
+@st.composite
+def round_sums(draw):
+    """(L, step, terms, cutoff) for round_trinomial_sum: terms (b, a,
+    shift), each up to four times, with a in [-L-2, L+2] and b - a in
+    [-4, 4]."""
+    L = draw(st.integers(0, 14))
+    step = draw(st.sampled_from([1, 2, 3, 6]))
+    terms = []
+    for a, d, sh, k in draw(st.lists(st.tuples(
+            st.integers(-L - 2, L + 2), st.integers(-4, 4),
+            st.integers(-60, 60), st.integers(1, 4)), max_size=6)):
+        terms += [(a + d, a, sh)] * k
+    cutoff = draw(st.one_of(st.none(), st.integers(-40, 200)))
+    return L, step, terms, cutoff
+
+
+def first_pair_terms(L):
+    """The (b, a, shift) of the first pair's RHS: each entry with a > 0
+    enters four times once a < 0 is folded, and a = 0 twice."""
+    return [(j + 1, j, e) for j in range(-L, L + 1)
+            for e in (2 * (L + j + 1), 2 * (L - j))]
+
+
+class TestRoundTrinomialSum:
+    @given(st.lists(round_sums(), min_size=1, max_size=4))
+    # truncated: each (b, a) enters at two shifts, built once at the lower
+    @example([(5, 6, first_pair_terms(5), 80)])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sum_of_entries(self, calls):
+        # values must not depend on which rows earlier calls left kept
+        clear_caches()
+        for L, step, terms, cutoff in calls:
+            want = LaurentSeries.sum(
+                round_trinomial(TrinomialParams(L, b, a, step)).shift(sh)
+                for b, a, sh in terms)
+            if cutoff is not None:
+                want = want.truncate(cutoff)
+            assert round_trinomial_sum(L, step, terms, cutoff) == want
+
+    def test_first_pair_terms_across_word_boundary(self):
+        # 3^40 > 2^63, so row 40 takes two-word slots; these class sums are
+        # bounded by 2 * 3^L
+        for L in (39, 40, 41):
+            clear_caches()
+            terms = first_pair_terms(L)
+            entries = {k: two_binomial_round_sum(L, *k, 6)
+                       for k in {(b, a) for b, a, sh in terms}}
+            want = LaurentSeries.sum(entries[b, a].shift(sh)
+                                     for b, a, sh in terms)
+            assert round_trinomial_sum(L, 6, terms) == want, L
+
+    @pytest.mark.parametrize("b, a, fits", [(0, 0, 4), (1, 1, 9)])
+    def test_slot_bound_raises(self, b, a, fits):
+        # 3^39 < 2^63: one-word slots hold 2 * 4 * 3^39 / 2 at a = 0 and
+        # 9 * 3^39 / 2 at a > 0, but not one more copy
+        one = round_trinomial(TrinomialParams(39, b, a, 6))
+        assert round_trinomial_sum(39, 6, [(b, a, 0)] * fits) == \
+            one.scale_coeffs(fits)
+        with pytest.raises(OverflowError):
+            round_trinomial_sum(39, 6, [(b, a, 0)] * (fits + 1))
 
 
 class TestTTrinomial:
