@@ -26,7 +26,7 @@ from .qblocks import (MonomialArg, gaussian_binomial, inv_poch_infinite,
                       inv_poch_series, poch_infinite, q_poch)
 from .trinomials import (RefinedTParams, TParams, TrinomialParams,
                          _half_units, refined_trinomial, round_trinomial,
-                         round_trinomial_sum, t_shift, t_trinomial)
+                         round_trinomial_sum, t_trinomial, t_trinomial_sum)
 
 Side = Union[LaurentSeries, TrivariateSeries]
 
@@ -136,15 +136,6 @@ def clear_caches() -> None:
     for fn in _CACHES.values():
         fn.cache_clear()
     trinomials._ROWS.clear()
-
-
-def _t3_sum(n: int, L: int, terms) -> LaurentSeries:
-    """sum T_n(L, j; q^3) q^(e/2) over the (j, e) in ``terms``.  Since
-    T_n(L, j) is q^(s/2) (L, j-n; j; q^3)_2 at 1/q, s = t_shift(n, L, j, 6),
-    it is the round-trinomial sum at exponents -(s + e), reversed once."""
-    return round_trinomial_sum(
-        L, 6, ((j - n, j, -(t_shift(n, L, j, 6) + e)) for j, e in terms)
-    ).reverse_exponents()
 
 
 def _double_sum(cutoff: int, *exps: Callable[[int, int], int]
@@ -273,8 +264,9 @@ def _first_pair_dual_rhs(p, c):
     L = p["L"]
     # sum_j (T(j) + T(j+1)) q^((3j^2+j)/2): T_{-1}(L, j) is zero past
     # |j| = L and enters at j and at j - 1
-    return _t3_sum(-1, L, ((j, e) for j in range(-L, L + 1)
-                           for e in (3 * j * j + j, 3 * j * j - 5 * j + 2)))
+    return t_trinomial_sum(-1, L, 6, ((j, e) for j in range(-L, L + 1)
+                                      for e in (3 * j * j + j,
+                                                3 * j * j - 5 * j + 2)))
 
 
 def _second_pair_dual_lhs(p, c):
@@ -284,7 +276,8 @@ def _second_pair_dual_lhs(p, c):
 
 def _second_pair_dual_rhs(p, c):
     L = p["L"]
-    return _t3_sum(1, L, ((j, 3 * j * j - j) for j in range(-L, L + 1)))
+    return t_trinomial_sum(1, L, 6, ((j, 3 * j * j - j)
+                                     for j in range(-L, L + 1)))
 
 
 def _third_pair_dual_lhs(p, c):
@@ -294,7 +287,8 @@ def _third_pair_dual_lhs(p, c):
 
 def _third_pair_dual_rhs(p, c):
     L = p["L"]
-    return _t3_sum(0, L, ((j, 3 * j * j + 2 * j) for j in range(-L, L + 1)))
+    return t_trinomial_sum(0, L, 6, ((j, 3 * j * j + 2 * j)
+                                     for j in range(-L, L + 1)))
 
 
 def _t_sum_sides(kind: int):

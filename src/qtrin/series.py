@@ -115,31 +115,13 @@ def pack_series(s: "LaurentSeries", w: int, shift: int) -> int:
         << 64 * w * (s._lo + shift)
 
 
-def unpack_series(x: int, w: int, lo: int) -> "LaurentSeries":
-    """The exact series sum c_i q^((lo + i)/2) of a packed integer x =
-    sum c_i X^i with no negative slot."""
-    return _new(lo, 1, _unpack(x, x.bit_length() // (64 * w) + 1, w, 0),
-                None)
-
-
-def unpack_classes(parts, w: int, step: int) -> "LaurentSeries":
-    """The exact series sum c_i q^((lo + i * step)/2) over the (x, lo) in
-    parts, each x = sum c_i X^i a packed integer with no negative slot, and
-    each lo in its own residue class mod step: every x is unpacked once and
-    spread onto the common grid, where no two classes meet."""
-    cs = [(lo, _unpack(x, x.bit_length() // (64 * w) + 1, w, 0))
-          for x, lo in parts if x]
-    if not cs:
-        return LaurentSeries.zero()
-    low = min(lo for lo, c in cs)
-    g = gcd(step, *(lo - low for lo, c in cs))
-    k = step // g
-    out = [0] * ((max(lo + (len(c) - 1) * step for lo, c in cs) - low) // g
-                 + 1)
-    for lo, c in cs:
-        p = (lo - low) // g
-        out[p:p + k * len(c):k] = c
-    return _new(low, g, out, None)
+def unpack_series(x: int, w: int, lo: int,
+                  stride: int = 1) -> "LaurentSeries":
+    """The exact series sum c_i q^((lo + i * stride)/2) of a packed integer
+    x = sum c_i X^i with no negative slot: each slot reads unsigned, up to
+    X - 1."""
+    return _new(lo, stride,
+                _unpack(x, x.bit_length() // (64 * w) + 1, w, 0), None)
 
 
 def _place(parts, cut: Optional[int]) -> "LaurentSeries":

@@ -16,37 +16,35 @@ With d = b - a and a >= 0:
     d >= 1:  (L, b; a)_2 = (L-1, b; a)_2 + q^(L+b-a-1) (L-1, b; a+1)_2
                            + q^(L-a) (L-1, b-1; a-1)_2
 
-from (0, b; a)_2 = [a = 0].  An entry with a > L is 0, and one with
-a < 0 is folded by (L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, which keeps
-d.  Rows do not depend on the step: q and q^3 read the same row through
-``scale_exponents``.  A row is kept only when a caller asked for it; the
-rows built on the way are dropped.  Rows are stepped and kept as packed
-integers, one per entry (see ``_RowStore``), and no whole row is ever
-unpacked: an entry asked for on its own is unpacked and cached, and
-``round_trinomial_sum`` adds the packed entries of a sum over b, a and
-shifts as integers, one per class of the shifts mod step, and unpacks
-each class once.  Row L has slots of 64 w bits, w = slot_words(3^L); a
-class sum that could pass them raises OverflowError.  The sums of the
-pair, dual and hierarchy sides stay within 2 * 3^L, which fits, since
-3^L < 2^(64 w - 1).  The rule only adds shifted entries,
-so the exact path has no division and no remainder check: its
-correctness rests on the tests against sums of products of Gaussian
-binomials.
+from (0, b; a)_2 = [a = 0].  Rows are stepped and kept as packed
+integers, one per entry (see ``_RowStore``), only for the rows callers
+asked for, and no whole row is ever unpacked.
 
-A truncated round trinomial is built from its summands instead: each, a
-q-multinomial coefficient, is carried from the one before it by two
-factors 1 - q_step^k multiplied and two divided out, below the cutoff
-and directly in base q_step.
+``round_trinomial_sum`` is the one reader of the rows; a single value is
+its one-term sum, cached per a >= 0 entry when exact.  It first folds its
+terms (``_fold``): an entry with a > L is 0, and a < 0 is reflected by
+(L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, which keeps d.  Exact, it adds
+the packed entries as integers, one per class of the shifts mod step,
+each unpacked once on the grid of the step, so q and q^3 read one row.
+Row L has slots of 64 w bits, w = slot_words(3^L); a class sum that
+could pass them raises OverflowError.  The pair, dual and hierarchy
+sides stay within 2 * 3^L, which fits, since 3^L < 2^(64 w - 1).  The
+rule only adds shifted entries, so the exact path has no division and no
+remainder check: its correctness rests on the tests against sums of
+products of Gaussian binomials.  T_n values and sums are these, reversed.
+
+Below a cutoff, each distinct folded (b, a) is built once, at its lowest
+shift, from its summands: each, a q-multinomial coefficient, is carried
+from the one before it by two factors 1 - q_step^k multiplied and two
+divided out, below the cutoff and directly in base q_step.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .series import (LaurentSeries, pack_series, slot_words, unpack_classes,
-                     unpack_series)
+from .series import LaurentSeries, pack_series, slot_words, unpack_series
 from .qblocks import gaussian_binomial
 
 
@@ -95,22 +93,22 @@ class RefinedTParams:
 
 def _round_sum(L: int, b: int, a: int, step: int,
                cutoff: int) -> LaurentSeries:
-    # Summand n is q^(n(n+b)) M_n, n0 <= n <= n1, with the multinomial
+    # 0 <= a <= L here (see _fold).  Summand n is q^(n(n+b)) M_n,
+    # 0 <= n <= (L-a)/2, with the multinomial
     # M_n = (q)_L / ((q)_n (q)_{n+a} (q)_{L-2n-a}), built in half-units of
     # base q_step: exponent k of q_step is k * step.
-    n0, n1 = max(0, -a), (L - a) // 2
-    shifts = [n * (n + b) * step for n in range(n0, n1 + 1)]
+    shifts = [n * (n + b) * step for n in range((L - a) // 2 + 1)]
     # the shifts are convex in n: past the last summand that starts below
     # the cutoff, none does
     while shifts and shifts[-1] > cutoff:
         shifts.pop()
     if not shifts:
         return LaurentSeries.zero(cutoff)
-    # M_n0 = [L, |a|], carried below the lowest cutoff any summand needs
-    m = gaussian_binomial(L, abs(a), step, cutoff - min(shifts))
+    # M_0 = [L, a], carried below the lowest cutoff any summand needs
+    m = gaussian_binomial(L, a, step, cutoff - min(shifts))
     parts = []
-    for n, sh in enumerate(shifts, start=n0):
-        if n > n0:
+    for n, sh in enumerate(shifts):
+        if n:
             # M_n = M_{n-1} (1-q^r)(1-q^(r-1)) / ((1-q^n)(1-q^(n+a))) with
             # r = L-2n+2-a
             r = L - 2 * n + 2 - a
@@ -171,8 +169,8 @@ class _RowStore:
     ``pack_series`` integer (see _next_row) with slots of 64 w bits,
     w = slot_words(3^L): every coefficient up to row L is below 3^L, the
     value of the whole row at q = 1, so no slot carries.  A row is kept
-    packed; an entry is unpacked only when it is asked for on its own
-    (``entry``), and sums read the packed entries (``row``)."""
+    packed, and ``round_trinomial_sum`` reads its packed entries
+    (``row``)."""
 
     def __init__(self):
         self._rows: dict[int, dict] = {}
@@ -185,12 +183,6 @@ class _RowStore:
             row = self._build(L, min([lo, *(row or ())]),
                               max([hi, *(row or ())]))
         return row, slot_words(3 ** L)
-
-    def entry(self, L: int, d: int, a: int) -> LaurentSeries:
-        """(L, a + d; a)_2 for 0 <= a <= L, exponent e standing for
-        q_step^e."""
-        row, w = self.row(L, min(d, 0), max(d, 1))
-        return unpack_series(row[d][a], w, -_offset(d))
 
     def _build(self, L: int, lo: int, hi: int) -> dict:
         start = max((k for k, r in self._rows.items()
@@ -225,18 +217,18 @@ _ROWS = _RowStore()
 
 @lru_cache(maxsize=None)
 def _round_trinomial(L: int, b: int, a: int, step: int) -> LaurentSeries:
-    # a >= 0 here, and (L, b; a)_2 = 0 for a > L, past every row entry
-    if a > L:
-        return LaurentSeries.zero()
-    return _ROWS.entry(L, b - a, a).scale_exponents(step)
+    # 0 <= a <= L here, so the pair a, -a shares one entry
+    return round_trinomial_sum(L, step, [(b, a, 0)])
 
 
 def _exact_round(L: int, b: int, a: int, step: int) -> LaurentSeries:
-    # n -> n - a gives (L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, so a < 0
-    # is read from the cached a >= 0 entry
-    if a >= 0:
-        return _round_trinomial(L, b, a, step)
-    return _round_trinomial(L, b - 2 * a, -a, step).shift(a * (a - b) * step)
+    # the cached entry of the folded term, shifted
+    term = _fold(L, step, b, a, 0)
+    if term is None:
+        return LaurentSeries.zero()
+    b, a, sh = term
+    entry = _round_trinomial(L, b, a, step)
+    return entry.shift(sh) if sh else entry
 
 
 def round_trinomial(p: TrinomialParams,
@@ -249,7 +241,16 @@ def round_trinomial(p: TrinomialParams,
     """
     if cutoff is None:
         return _exact_round(p.L, p.b, p.a, p.step)
-    return _round_sum(p.L, p.b, p.a, p.step, cutoff)
+    return round_trinomial_sum(p.L, p.step, [(p.b, p.a, 0)], cutoff)
+
+
+def _fold(L: int, step: int, b: int, a: int, sh: int):
+    """The term (L, b; a; q_step)_2 q^(sh/2) as one with 0 <= a <= L, or
+    None when it is 0: n -> n - a gives (L, b; a)_2 = q^(a(a-b))
+    (L, b-2a; -a)_2, which reflects a < 0, and an entry with a > L is 0."""
+    if a < 0:
+        b, a, sh = b - 2 * a, -a, sh + a * (a - b) * step
+    return (b, a, sh) if a <= L else None
 
 
 def round_trinomial_sum(L: int, step: int, terms,
@@ -257,53 +258,46 @@ def round_trinomial_sum(L: int, step: int, terms,
     """sum (L, b; a; q_step)_2 q^(shift/2) over the (b, a, shift) in
     ``terms`` (any iterable; a term may repeat).
 
-    With a cutoff, the sum of the truncated builds, one for each distinct
-    (b, a) at its lowest shift.  Exact, it reads the packed entries of row
-    L: a < 0 is folded as in ``round_trinomial`` and a > L dropped, and the
+    The terms are first folded onto 0 <= a <= L (``_fold``).  With a
+    cutoff, the sum of the truncated builds, one for each distinct (b, a)
+    at its lowest shift.  Exact, it reads the packed entries of row L: the
     entries whose shifts share a class mod step are added as integers, one
     per class, each unpacked once.  Nothing is cached but the row."""
-    terms = list(terms)
+    kept = [t for t in (_fold(L, step, *term) for term in terms)
+            if t is not None]
     if cutoff is not None:
         low: dict = {}
-        for b, a, sh in terms:
+        for b, a, sh in kept:
             low[b, a] = min(sh, low.get((b, a), sh))
-        built = {k: round_trinomial(TrinomialParams(L, *k, step), cutoff - sh)
+        built = {k: _round_sum(L, *k, step, cutoff - sh)
                  for k, sh in low.items()}
-        return LaurentSeries.sum((built[b, a].shift(sh) for b, a, sh in terms),
+        return LaurentSeries.sum((built[b, a].shift(sh) for b, a, sh in kept),
                                  cutoff)
-    kept = []
-    for b, a, sh in terms:
-        if a < 0:
-            b, a, sh = b - 2 * a, -a, sh + a * (a - b) * step
-        if a <= L:
-            kept.append((b - a, a, sh))
     if not kept:
         return LaurentSeries.zero()
-    ds = [d for d, a, sh in kept]
+    ds = [b - a for b, a, sh in kept]
     row, w = _ROWS.row(L, min(0, *ds), max(1, *ds))
     # At q = 1 an entry is the trinomial coefficient T(L, a), whatever b,
     # and T(L, 0) + 2 (T(L, 1) + ... + T(L, L)) = 3^L.  So no slot of a
     # class sum passes max(m_0, m / 2) 3^L, with m_0 terms at a = 0 and at
     # most m at any a > 0; unsigned slots of 64 w bits hold it.
-    count = Counter(a for d, a, sh in kept)
-    m0 = count.pop(0, 0)
-    if max(2 * m0, 0, *count.values()) * 3 ** L >= 1 << 64 * w + 1:
+    copies: dict = {}
+    for b, a, sh in kept:
+        copies[a] = copies.get(a, 0) + (1 if a else 2)
+    if max(copies.values()) * 3 ** L >= 1 << 64 * w + 1:
         raise OverflowError(f"a sum of {len(kept)} entries of row {L} may "
                             f"pass its slots of {64 * w} bits")
-    # an entry holds q_step^e at slot e + _offset(d); at shift s step + r
-    # that term is at slot e + s - base of the class r sum, so the entry
-    # moves up k - base slots, k = s - _offset(d)
-    classes: dict = {}
-    for d, a, sh in kept:
-        r = sh % step
-        classes.setdefault(r, []).append(((sh - r) // step - _offset(d),
-                                          row[d][a]))
-    parts = []
-    for r, xs in classes.items():
-        base = min(k for k, x in xs)
-        parts.append((sum(x << 64 * w * (k - base) for k, x in xs),
-                      base * step + r))
-    return unpack_classes(parts, w, step)
+    # slot i of the class r sum stands for q_step^(base + i) q^(r/2), and
+    # an entry holds q_step^e at slot e + _offset(d): at shift s step + r
+    # it moves up k - base slots, k = s - _offset(d)
+    at = [(sh % step, sh // step - _offset(b - a), row[b - a][a])
+          for b, a, sh in kept]
+    base = min(k for r, k, x in at)
+    sums: dict = {}
+    for r, k, x in at:
+        sums[r] = sums.get(r, 0) + (x << 64 * w * (k - base))
+    return LaurentSeries.sum(unpack_series(x, w, base * step + r, step)
+                             for r, x in sums.items())
 
 
 def _half_units(u: int, step: int) -> int:
@@ -329,6 +323,16 @@ def t_shift(n: int, L: int, a: int, step: int) -> int:
     """The s, in half-units, with T_n(L, a; q_step) = q^(s/2) times
     (L, a-n; a; q_step)_2 at q -> 1/q."""
     return _half_units(L * (L - n) - a * (a - n), step)
+
+
+def t_trinomial_sum(n: int, L: int, step: int, terms) -> LaurentSeries:
+    """sum T_n(L, a; q_step) q^(e/2) over the (a, e) in ``terms``.  Since
+    T_n(L, a) is q^(s/2) (L, a-n; a; q_step)_2 at 1/q, s = t_shift(n, L, a,
+    step), it is the round-trinomial sum at exponents -(s + e), reversed
+    once."""
+    return round_trinomial_sum(
+        L, step, ((a - n, a, -(t_shift(n, L, a, step) + e)) for a, e in terms)
+    ).reverse_exponents()
 
 
 def refined_trinomial(p: RefinedTParams) -> LaurentSeries:

@@ -266,6 +266,23 @@ class TestBuildsOnce:
         compute_side(IdentityInstance("first_pair", {"L": 10}), "RHS")
         assert seen == [10]
 
+    def test_truncated_first_pair_rhs_builds_each_pair_once(self,
+                                                            monkeypatch):
+        # (L, j+1; j) at j < 0 folds onto (L, 1-j; -j), the entry of -j,
+        # so the L + 1 entries a = 0..L are built once each, not 2L + 1
+        fn, seen = trinomials._round_sum, []
+
+        def counted(*args):
+            seen.append(args)
+            return fn(*args)
+        monkeypatch.setattr(trinomials, "_round_sum", counted)
+        # limit stabilization builds the RHS below its window
+        got = identities._first_pair_rhs({"L": 10}, 60)
+        assert len(seen) <= 11
+        exact = compute_side(IdentityInstance("first_pair", {"L": 10}),
+                             "RHS")
+        assert got == exact.truncate(60)
+
     def test_exact_sums_unpack_no_entry_on_its_own(self):
         # the six pair and dual RHS and the hierarchy RHS add packed
         # entries: none is unpacked into the entry cache

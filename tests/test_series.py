@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
-                          pack_series, slot_words, unpack_classes,
-                          unpack_series)
+                          pack_series, slot_words, unpack_series)
 
 from dict_series import DictSeries
 
@@ -532,20 +531,24 @@ def fold(terms, zero):
 class TestPacking:
     @given(st.dictionaries(st.integers(-8, 40), st.integers(0, 2 ** 200),
                            max_size=8),
-           st.integers(0, 12))
-    @example({}, 0)
-    @example({-3: 1, 3: 2 ** 64, 9: 2 ** 191 - 1}, 3)     # stride 6
-    @example({5: 2 ** 63 - 1}, 0)                          # one word
-    @example({5: 2 ** 63}, 0)                              # two words
-    def test_round_trip(self, terms, lowest):
+           st.integers(0, 12), st.integers(1, 6))
+    @example({}, 0, 1)
+    @example({-3: 1, 3: 2 ** 64, 9: 2 ** 191 - 1}, 3, 1)  # stride 6
+    @example({5: 2 ** 63 - 1}, 0, 1)                       # one word
+    @example({5: 2 ** 63}, 0, 1)                           # two words
+    @example({-3: 1, 1: 2 ** 64, 2: 7}, 2, 6)              # unpacked at q^3
+    def test_round_trip(self, terms, lowest, stride):
         # a packed series unpacks to itself, and q^(u/2) is a shift by
-        # 64 w u bits; shift puts its lowest slot at X^lowest
+        # 64 w u bits; shift puts its lowest slot at X^lowest.  Unpacked
+        # on stride k from lo = -shift * k, it is the series at q -> q^k
         s = LaurentSeries(terms)
         w = slot_words(max(terms.values(), default=0))
         shift = lowest - (0 if s.is_zero() else s.min_exp())
         x = pack_series(s, w, shift)
         assert unpack_series(x, w, -shift) == s
         assert unpack_series(x << 64 * w * 5, w, -shift) == s.shift(5)
+        assert unpack_series(x, w, -shift * stride, stride) == \
+            s.scale_exponents(stride)
         if not s.is_zero():
             assert x.bit_length() > 64 * w * lowest
             assert x & ((1 << 64 * w * lowest) - 1) == 0
@@ -570,13 +573,17 @@ def packed_classes(draw):
 
 
 class TestUnpackClasses:
+    """Packed classes, each unpacked on the stride step and placed on one
+    grid by LaurentSeries.sum, as the exact round-trinomial sums do."""
+
     @given(packed_classes())
     # a full top word reads unsigned
     @example(([(2 ** 64 - 1 << 64, -3), (1, 0)], 1, 2,
               DictSeries({-1: 2 ** 64 - 1, 0: 1})))
     def test_matches_dict_reference(self, case):
         parts, w, step, want = case
-        same(unpack_classes(parts, w, step), want)
+        same(LaurentSeries.sum(unpack_series(x, w, lo, step)
+                               for x, lo in parts), want)
 
 
 class TestSum:

@@ -8,7 +8,8 @@ from qtrin.qblocks import gaussian_binomial, q_poch
 from qtrin.series import LaurentSeries, exact_divide
 from qtrin.trinomials import (RefinedTParams, TParams, TrinomialParams,
                               refined_trinomial, round_trinomial,
-                              round_trinomial_sum, t_trinomial)
+                              round_trinomial_sum, t_trinomial,
+                              t_trinomial_sum)
 
 
 def q(k):
@@ -244,8 +245,9 @@ class TestRoundTrinomialSum:
         clear_caches()
         for L, step, terms, cutoff in calls:
             want = LaurentSeries.sum(
-                round_trinomial(TrinomialParams(L, b, a, step)).shift(sh)
-                for b, a, sh in terms)
+                two_binomial_round_sum(
+                    L, b, a, step, None if cutoff is None else cutoff - sh
+                ).shift(sh) for b, a, sh in terms)
             if cutoff is not None:
                 want = want.truncate(cutoff)
             assert round_trinomial_sum(L, step, terms, cutoff) == want
@@ -266,11 +268,30 @@ class TestRoundTrinomialSum:
     def test_slot_bound_raises(self, b, a, fits):
         # 3^39 < 2^63: one-word slots hold 2 * 4 * 3^39 / 2 at a = 0 and
         # 9 * 3^39 / 2 at a > 0, but not one more copy
-        one = round_trinomial(TrinomialParams(39, b, a, 6))
+        one = two_binomial_round_sum(39, b, a, 6)
         assert round_trinomial_sum(39, 6, [(b, a, 0)] * fits) == \
             one.scale_coeffs(fits)
         with pytest.raises(OverflowError):
             round_trinomial_sum(39, 6, [(b, a, 0)] * (fits + 1))
+
+
+class TestTTrinomialSum:
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    @pytest.mark.parametrize("step", [2, 6])
+    @pytest.mark.parametrize("L", [0, 1, 5])
+    def test_matches_definition(self, n, step, L):
+        # T_n(L, a; Q) = Q^((L(L-n) - a(a-n))/2) (L, a-n; a; 1/Q)_2, with
+        # the prefactor in half-units of q for Q = q_step
+        def t(a):
+            pre = (L * (L - n) - a * (a - n)) * step // 2
+            return two_binomial_round_sum(L, a - n, a, step) \
+                .reverse_exponents().shift(pre)
+        support = range(-L - 2, L + 3)
+        terms = [(a, e) for a in support for e in (0, 3 * a * a + a)]
+        terms += [(L, 5)] * 3 + [(-L - 1, 2)]     # repeats; a zero term
+        want = LaurentSeries.sum(t(a).shift(e) for a, e in terms)
+        assert t_trinomial_sum(n, L, step, terms) == want
+        assert t_trinomial_sum(n, L, step, []) == LaurentSeries.zero()
 
 
 class TestTTrinomial:
