@@ -105,16 +105,6 @@ def _unpack(x: int, n: int, w: int, signs: int) -> list:
     return c
 
 
-def pack_series(s: "LaurentSeries", w: int, shift: int) -> int:
-    """The packed integer sum c_e X^(e + shift) of s = sum c_e q^(e/2),
-    which has no negative coefficient and min_exp + shift >= 0; s q^(u/2)
-    is then a shift left by 64 w u bits.  The zero series packs to 0."""
-    if not s._c:
-        return 0
-    return _pack(_slots(s, 1, s.max_exp() - s._lo + 1), w, 0) \
-        << 64 * w * (s._lo + shift)
-
-
 def unpack_series(x: int, w: int, lo: int,
                   stride: int = 1) -> "LaurentSeries":
     """The exact series sum c_i q^((lo + i * stride)/2) of a packed integer

@@ -16,9 +16,10 @@ With d = b - a and a >= 0:
     d >= 1:  (L, b; a)_2 = (L-1, b; a)_2 + q^(L+b-a-1) (L-1, b; a+1)_2
                            + q^(L-a) (L-1, b-1; a-1)_2
 
-from (0, b; a)_2 = [a = 0].  Rows are stepped and kept as packed
-integers, one per entry (see ``_RowStore``), only for the rows callers
-asked for, and no whole row is ever unpacked.
+from (0, b; a)_2 = [a = 0].  A row is only ever stepped, from row 0 or
+from a kept row of its own slot width, and kept as packed integers, one
+per entry (see ``_RowStore``), only for the rows callers asked for; no
+whole row is ever unpacked or repacked.
 
 ``round_trinomial_sum`` is the one reader of the rows; a single value is
 its one-term sum, cached per a >= 0 entry when exact.  It first folds its
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .series import LaurentSeries, pack_series, slot_words, unpack_series
+from .series import LaurentSeries, slot_words, unpack_series
 from .qblocks import gaussian_binomial
 
 
@@ -135,8 +136,8 @@ def _shift(x: int, bits: int) -> int:
 def _next_row(k: int, prev: dict, bits: int) -> dict:
     """Row k from row k - 1 by the rule in the module docstring, over the
     same window of d.  A row maps d to the entries (k, a + d; a)_2,
-    a = 0..k, each held times q^_offset(d) as a ``pack_series`` integer
-    with slots of ``bits`` bits, so that q^s is a shift by bits * s."""
+    a = 0..k, each held times q^_offset(d) as the packed integer
+    sum c_e X^e, X = 2^bits, so that q^s is a shift by bits * s."""
     row = {}
     for d, col in prev.items():
         col = col + [0, 0]      # entries a = k, k + 1 of row k - 1 are 0
@@ -164,11 +165,13 @@ class _RowStore:
 
     Row L holds every d of a window [lo, hi] with lo <= 0 < hi.  Entry d
     needs d and d + 1 (d <= 0) or d - 1 and d (d >= 1) of the row below,
-    so such a window is closed: a row is built over it in a loop from the
-    highest kept row that covers it, or from row 0.  Each entry is one
-    ``pack_series`` integer (see _next_row) with slots of 64 w bits,
-    w = slot_words(3^L): every coefficient up to row L is below 3^L, the
-    value of the whole row at q = 1, so no slot carries.  A row is kept
+    so such a window is closed: a row is only ever stepped over it, from
+    the highest kept row of the same slot width that covers it, or from
+    row 0.  Each entry is one packed integer (see _next_row) with slots of
+    64 w bits, w = slot_words(3^L): every coefficient up to row L is below
+    3^L, the value of the whole row at q = 1, so no slot carries.  A kept
+    row of narrower slots is never reused, so the first row built past a
+    width edge (rows 40 and 81) steps up from row 0.  A row is kept
     packed, and ``round_trinomial_sum`` reads its packed entries
     (``row``)."""
 
@@ -185,19 +188,11 @@ class _RowStore:
         return row, slot_words(3 ** L)
 
     def _build(self, L: int, lo: int, hi: int) -> dict:
-        start = max((k for k, r in self._rows.items()
-                     if k < L and lo in r and hi in r), default=None)
         w = slot_words(3 ** L)
-        if start is None:
-            start, row = 0, {d: [1 << 64 * w * _offset(d)]
-                             for d in range(lo, hi + 1)}
-        else:
-            # a kept row is packed at its own, perhaps narrower, slots
-            v = slot_words(3 ** start)
-            row = {d: [x if v == w else
-                       pack_series(unpack_series(x, v, 0), w, 0)
-                       for x in self._rows[start][d]]
-                   for d in range(lo, hi + 1)}
+        start = max((k for k, r in self._rows.items() if k < L and lo in r
+                     and hi in r and slot_words(3 ** k) == w), default=0)
+        row = {d: self._rows[start][d] if start
+               else [1 << 64 * w * _offset(d)] for d in range(lo, hi + 1)}
         for k in range(start + 1, L + 1):
             row = _next_row(k, row, 64 * w)
         self._rows[L] = row

@@ -86,6 +86,30 @@ class TestComputeSide:
         assert side.is_exact
 
 
+# D(L), in half-units, with X_dual(L) = q^(D/2) X(L)(1/q) on both sides.
+# For third_pair at odd L the dual starts at q^(1/2), so D is one
+# half-unit above the pair's degree there
+DUAL_SHIFTS = {
+    "first_pair": lambda L: 3 * L * L + 5 * L + 2,
+    "second_pair": lambda L: 3 * L * L + L,
+    "third_pair": lambda L: 3 * L * L + 2 * L,
+}
+
+
+class TestDuality:
+    @pytest.mark.parametrize("id", sorted(DUAL_SHIFTS))
+    @pytest.mark.parametrize("side", ["LHS", "RHS"])
+    def test_dual_is_the_reversed_pair(self, id, side):
+        # each dual side has its own builder (the dual RHS sums T_n, the
+        # pair RHS reads round-trinomial rows), so this ties them together
+        for L in range(31):
+            pair = compute_side(IdentityInstance(id, {"L": L}), side)
+            dual = compute_side(IdentityInstance(id + "_dual", {"L": L}),
+                                side)
+            assert dual == pair.reverse_exponents().shift(
+                DUAL_SHIFTS[id](L)), L
+
+
 class TestVerifyIdentity:
     @pytest.mark.parametrize("id", ["first_pair", "second_pair", "third_pair",
                                     "first_pair_dual", "second_pair_dual",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
-                          pack_series, slot_words, unpack_series)
+                          slot_words, unpack_series)
 
 from dict_series import DictSeries
 
@@ -538,13 +538,14 @@ class TestPacking:
     @example({5: 2 ** 63}, 0, 1)                           # two words
     @example({-3: 1, 1: 2 ** 64, 2: 7}, 2, 6)              # unpacked at q^3
     def test_round_trip(self, terms, lowest, stride):
-        # a packed series unpacks to itself, and q^(u/2) is a shift by
-        # 64 w u bits; shift puts its lowest slot at X^lowest.  Unpacked
-        # on stride k from lo = -shift * k, it is the series at q -> q^k
+        # the series packed as sum c_e X^(e + shift) unpacks to itself,
+        # and q^(u/2) is a shift by 64 w u bits; shift puts its lowest
+        # slot at X^lowest.  Unpacked on stride k from lo = -shift * k, it
+        # is the series at q -> q^k
         s = LaurentSeries(terms)
         w = slot_words(max(terms.values(), default=0))
         shift = lowest - (0 if s.is_zero() else s.min_exp())
-        x = pack_series(s, w, shift)
+        x = sum(c << 64 * w * (e + shift) for e, c in s.terms.items())
         assert unpack_series(x, w, -shift) == s
         assert unpack_series(x << 64 * w * 5, w, -shift) == s.shift(5)
         assert unpack_series(x, w, -shift * stride, stride) == \

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qtrin import trinomials
 from qtrin.identities import cache_sizes, clear_caches
 from qtrin.qblocks import gaussian_binomial, q_poch
 from qtrin.series import LaurentSeries, exact_divide
@@ -210,6 +211,24 @@ class TestRows:
         clear_caches()
         got = round_trinomial(TrinomialParams(50, 0, 2, 6))
         assert got == two_binomial_round_sum(50, 0, 2, 6)
+
+    def test_rows_past_a_width_edge_are_only_stepped(self, monkeypatch):
+        # rows 38 and 39 have one-word slots and rows 40 and 41 two-word
+        # ones: row 40 is stepped from row 0, not repacked from row 39,
+        # and row 41 from row 40, so no build unpacks an entry
+        clear_caches()
+        calls = []
+        unpack = trinomials.unpack_series
+        monkeypatch.setattr(trinomials, "unpack_series",
+                            lambda *args: calls.append(args) or unpack(*args))
+        for L in (38, 39, 40, 41):
+            trinomials._ROWS.row(L, 0, 1)
+        assert len(calls) == 0
+        for L in (40, 41):
+            terms = first_pair_terms(L)
+            want = LaurentSeries.sum(two_binomial_round_sum(L, b, a, 6)
+                                     .shift(sh) for b, a, sh in terms)
+            assert round_trinomial_sum(L, 6, terms) == want, L
 
 
 @st.composite
