@@ -21,7 +21,9 @@ from itertools import accumulate, count
 from typing import Callable, Optional, Union
 
 from . import qblocks, trinomials
-from .series import LaurentSeries, TrivariateSeries
+from .series import (LaurentSeries, TrivariateSeries, pack_series,
+                     packed_div_one_minus, packed_mul_one_minus, packed_sum,
+                     slot_words)
 from .qblocks import (MonomialArg, gaussian_binomial, inv_poch_infinite,
                       inv_poch_series, poch_infinite, q_poch)
 from .trinomials import (RefinedTParams, TParams, TrinomialParams,
@@ -77,34 +79,71 @@ def _outlook2_exp(m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # shared building blocks
 
-@lru_cache(maxsize=None)
-def _ratio3(L: int) -> tuple[LaurentSeries, ...]:
-    """The quotients (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n), n = 0..L//2.
-    The head n = 0 is prod_{k=1..L} (1-q^(3k)) / (1-q^k), whose partial
-    products are the polynomials prod_{j<=k} (1+q^j+q^(2j)); entry n is
-    entry n-1 times (1-q^(L-2n+2)) (1-q^(L-2n+1)) / (1-q^(3n)).  Each step
-    multiplies before it divides, so every partial result is a polynomial
-    and a remainder still raises."""
-    head = LaurentSeries.one()
+def _ratio3_steps(L: int) -> list[tuple[int, int, int]]:
+    """(a, b, d) for n = 1..L//2: entry n of the quotients below is entry
+    n-1 times (1-q^a) (1-q^b) / (1-q^d), a = L-2n+2, b = L-2n+1, d = 3n."""
+    return [(L - 2 * n + 2, L - 2 * n + 1, 3 * n)
+            for n in range(1, L // 2 + 1)]
+
+
+def _ratio3_walk(L: int):
+    """Yield the quotients (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n),
+    n = 0..L//2, as series.  The head n = 0 is
+    prod_{k=1..L} (1-q^(3k)) / (1-q^k), whose partial products are the
+    polynomials prod_{j<=k} (1+q^j+q^(2j)); the entries after it take the
+    steps of _ratio3_steps(L).  Each step multiplies before it divides,
+    so every partial result is a polynomial and a remainder still
+    raises."""
+    r = LaurentSeries.one()
     for k in range(1, L + 1):
-        head = head.mul_one_minus(1, 6 * k).div_one_minus(1, 2 * k)
-    out = [head]
-    for n in range(1, L // 2 + 1):
-        r = L - 2 * n
-        out.append(out[-1].mul_one_minus(1, 2 * (r + 2))
-                   .mul_one_minus(1, 2 * (r + 1)).div_one_minus(1, 6 * n))
-    return tuple(out)
+        r = r.mul_one_minus(1, 6 * k).div_one_minus(1, 2 * k)
+    yield r
+    for a, b, d in _ratio3_steps(L):
+        r = r.mul_one_minus(1, 2 * a).mul_one_minus(1, 2 * b) \
+            .div_one_minus(1, 2 * d)
+        yield r
+
+
+@lru_cache(maxsize=None)
+def _ratio3(L: int) -> tuple[int, int, tuple[int, ...]]:
+    """The quotients of _ratio3_walk(L), packed: (w, h, (x_0, x_1, ...)),
+    x_n = sum c_i X^i for entry n = sum c_i q^i, in two's-complement
+    slots of 64 w bits, and h the sum over the entries of their largest
+    |coefficient|.  The whole table takes w = slot_words(2 h), so a sum
+    that reads each entry at most twice fits its slots.
+
+    The series walk runs first, keeping only its head: its divisions
+    check their remainders, and it measures h and each entry's length.
+    The head is then packed and carried through the same steps as packed
+    integers, each division exact since the walk's was
+    (``packed_div_one_minus``): a few shifts per entry, where packing
+    each entry costs a call per coefficient.  No series is kept."""
+    h, slots = 0, []
+    for r in _ratio3_walk(L):
+        if not slots:
+            head = r
+        h += r.max_abs_coeff()
+        slots.append(r.max_exp() // 2 + 1)
+    w = slot_words(2 * h)
+    x = pack_series(head, w, 2)
+    del head
+    packed = [x]
+    for (a, b, d), n in zip(_ratio3_steps(L), slots[1:]):
+        x = packed_mul_one_minus(packed_mul_one_minus(x, w, a), w, b)
+        x = packed_div_one_minus(x, w, d, n)
+        packed.append(x)
+    return w, h, tuple(packed)
 
 
 @lru_cache(maxsize=None)
 def _ratio4(M: int) -> dict[tuple[int, int], LaurentSeries]:
     """(m, n) -> (q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_d) over
-    m + 2n <= M, d = M - 2n - m.  Column n starts at its d = 0 entry, the
-    same object as _ratio3(M)[n], and walks down m: the entry at d is the
+    m + 2n <= M, d = M - 2n - m.  Column n starts at its d = 0 entry,
+    entry n of _ratio3_walk(M), and walks down m: the entry at d is the
     one at d - 1 times (1-q^(m+1)) / (1-q^(3d)), multiplied before it is
-    divided as in _ratio3."""
+    divided as in the walk."""
     table = {}
-    for n, r in enumerate(_ratio3(M)):
+    for n, r in enumerate(_ratio3_walk(M)):
         top = M - 2 * n
         table[top, n] = r
         for d in range(1, top + 1):
@@ -189,10 +228,19 @@ def _binom2(x: int) -> int:
 def _ratio3_sum(L: int, sign: int, *exps: Callable[[int], int]
                 ) -> LaurentSeries:
     """sum_n sign^n (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n) q^(e(n)/2),
-    one term for each exponent e in ``exps`` (half-units)."""
-    signed = ((n, r if sign ** n > 0 else -r)
-              for n, r in enumerate(_ratio3(L)))
-    return LaurentSeries.sum(r.shift(e(n)) for n, r in signed for e in exps)
+    one term for each exponent e in ``exps`` (half-units): the packed
+    entries of _ratio3(L), added by ``packed_sum`` in signed slots, one
+    class per exponent parity.  No slot of a class sum passes the sum of
+    the heights of the entries read; OverflowError if the slots of the
+    table could not hold that."""
+    w, h, table = _ratio3(L)
+    if slot_words(len(exps) * h) > w:
+        raise OverflowError(f"a sum of {len(exps)} terms per entry of "
+                            f"_ratio3({L}) may pass its slots of {64 * w} "
+                            "bits")
+    return packed_sum(((x, e(n), sign < 0 and n % 2 == 1)
+                       for n, x in enumerate(table) for e in exps),
+                      w, 2, signed=True)
 
 
 def _mn_sum(M: int, term: Callable[[int, int], LaurentSeries],

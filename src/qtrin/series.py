@@ -13,7 +13,8 @@ empty list; a single term has stride 0.  The stride need not be the gcd
 of the exponents, so equal series may sit on different grids; equality
 and hashing do not depend on the grid.  Kernels are list operations on
 slices of these grids and build their results without re-filtering; the
-product packs both grids into integers and multiplies those once.
+product packs both grids into integers and multiplies those once, and
+``packed_sum`` adds series kept packed, one integer per exponent class.
 
 A series is either exact (``cutoff is None``) or truncated above an
 inclusive upper bound ``cutoff``, and stores no term above it.  All
@@ -59,8 +60,9 @@ def _slots(s: "LaurentSeries", g: int, n: int) -> list:
 # integer sum c[i] X^i, so that a product of series is one product of
 # integers.  Each slot is a two's-complement word of 64 w bits, exact while
 # |c[i]| < X / 2, so callers take w from a bound on every slot
-# (``slot_words``).  ``signs`` holds the sign bit X / 2 of each slot, over
-# at least as many slots as the list, or is 0 when no slot is negative.
+# (``slot_words``), or unsigned up to X - 1 where no slot is negative.
+# ``signs`` holds the sign bit X / 2 of each slot, over at least as many
+# slots as the list, or is 0 for unsigned slots.
 # Slots are written little-endian and read back as machine words, so the
 # two orders must agree.
 if sys.byteorder != "little":
@@ -72,6 +74,11 @@ def slot_words(bound: int) -> int:
     """The w whose slots hold every coefficient of absolute value at most
     bound, with a sign bit to spare."""
     return bound.bit_length() // 64 + 1
+
+
+def _sign_bits(w: int, n: int) -> int:
+    """The sign bit X / 2 of each of n slots."""
+    return int.from_bytes((bytes(8 * w - 1) + b"\x80") * n, "little")
 
 
 def _pack(c: list, w: int, signs: int) -> int:
@@ -105,13 +112,81 @@ def _unpack(x: int, n: int, w: int, signs: int) -> list:
     return c
 
 
-def unpack_series(x: int, w: int, lo: int,
-                  stride: int = 1) -> "LaurentSeries":
+def pack_series(s: "LaurentSeries", w: int, stride: int) -> int:
+    """The packed integer x = sum c_i X^i of the exact series
+    s = sum c_i q^(i * stride/2), whose exponents all lie on that grid
+    from 0 up, in two's-complement slots: each |c_i| must be below X / 2
+    (see slot_words).  The inverse of unpack_series(x, w, 0, stride,
+    signed=True); the zero series packs to 0."""
+    if not s._c:
+        return 0
+    k, p = s._stride // stride or 1, s._lo // stride
+    n = p + k * (len(s._c) - 1) + 1
+    c = s._c if k == 1 and p == 0 else _spread(s._c, k, p, n)
+    return _pack(c, w, _sign_bits(w, n))
+
+
+def unpack_series(x: int, w: int, lo: int, stride: int = 1,
+                  signed: bool = False) -> "LaurentSeries":
     """The exact series sum c_i q^((lo + i * stride)/2) of a packed integer
-    x = sum c_i X^i with no negative slot: each slot reads unsigned, up to
-    X - 1."""
+    x = sum c_i X^i.  Unsigned, no slot is negative and each reads up to
+    X - 1; signed, each slot is two's complement, |c_i| < X / 2, and x
+    may be negative.  The slots read, x.bit_length() // (64 w) + 1, cover
+    the top non-zero one, c_n: signed, those below it add up to less than
+    X^n / 2 in absolute value, so X^n / 2 < |x| < X^(n+1) / 2."""
+    n = x.bit_length() // (64 * w) + 1
     return _new(lo, stride,
-                _unpack(x, x.bit_length() // (64 * w) + 1, w, 0), None)
+                _unpack(x, n, w, _sign_bits(w, n) if signed else 0), None)
+
+
+def packed_mul_one_minus(x: int, w: int, d: int) -> int:
+    """x (1 - X^d): a packed series times 1 - q^(d stride/2) on its grid
+    of slots.  Each slot of it is the difference of two slots of x."""
+    return x - (x << 64 * w * d)
+
+
+def packed_div_one_minus(x: int, w: int, d: int, n: int) -> int:
+    """The packed quotient Q of x by 1 - X^d, d >= 1, for an x whose
+    series is a multiple of 1 - q^(d stride/2) with a quotient of n slots
+    that fit two's-complement slots of 64 w bits.  Nothing is checked:
+    the caller has divided that series itself (``div_one_minus`` raises
+    on a remainder).  Then x = Q (1 - X^d) as integers, so
+    x (1 + X^d + ... + X^(d(K-1))) = Q - Q X^(dK), which is Q mod X^n
+    once dK >= n; since |Q| < X^n / 2 that residue picks Q out.  K
+    doubles each step: log2(n / d) shift-adds on n slots."""
+    bits = 64 * w
+    mask = (1 << bits * n) - 1
+    x &= mask
+    while d < n:
+        x = (x + (x << bits * d)) & mask
+        d *= 2
+    return x - mask - 1 if x >> (bits * n - 1) else x
+
+
+def packed_sum(parts, w: int, stride: int,
+               signed: bool = False) -> "LaurentSeries":
+    """The exact series sum +-c_i q^((e + i * stride)/2) over the (x, e,
+    minus) in ``parts`` (any iterable; a part may repeat), each
+    x = sum c_i X^i packed in slots of 64 w bits and subtracted where
+    minus is true.  The parts whose e share a class mod stride are added
+    as integers, one per class, each shifted to its place in the class,
+    and each class sum is unpacked once on the grid of the stride
+    (``unpack_series``): the classes then interleave in one
+    LaurentSeries.sum.  Slots are two's complement when signed, else
+    unsigned; the caller bounds every slot of a class sum to fit them."""
+    at = [(e % stride, e // stride, x, minus) for x, e, minus in parts]
+    if not at:
+        return LaurentSeries.zero()
+    # slot i of the class r sum stands for q^((r + (base + i) stride)/2)
+    base = min(k for r, k, x, minus in at)
+    sums: dict = {}
+    for r, k, x, minus in at:
+        x <<= 64 * w * (k - base)
+        s = sums.get(r, 0)
+        sums[r] = s - x if minus else s + x
+    return LaurentSeries.sum(
+        unpack_series(x, w, base * stride + r, stride, signed)
+        for r, x in sums.items())
 
 
 def _place(parts, cut: Optional[int]) -> "LaurentSeries":
@@ -241,6 +316,12 @@ class LaurentSeries:
             raise ValueError("eval_at_one needs an exact polynomial")
         return sum(self._c)
 
+    def max_abs_coeff(self) -> int:
+        """The largest absolute value of a coefficient; 0 for the zero
+        series."""
+        c = self._c
+        return max(max(c), -min(c)) if c else 0
+
     def _upto(self, cut: Optional[int]) -> int:
         """How many leading entries lie at or below cut."""
         c = self._c
@@ -323,7 +404,7 @@ class LaurentSeries:
         # a slot of the product sums at most min(len(a), len(b)) products
         w = slot_words(min(len(a), len(b)) * max(map(abs, a))
                        * max(map(abs, b)))
-        signs = int.from_bytes((bytes(8 * w - 1) + b"\x80") * n, "little")
+        signs = _sign_bits(w, n)
         x = _pack(a, w, signs) * _pack(b, w, signs)
         return _new(lo, g, _unpack(x, n, w, signs), cut)
 

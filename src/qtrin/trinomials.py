@@ -21,17 +21,18 @@ from a kept row of its own slot width, and kept as packed integers, one
 per entry (see ``_RowStore``), only for the rows callers asked for; no
 whole row is ever unpacked or repacked.
 
-``round_trinomial_sum`` is the one reader of the rows; a single value is
-its one-term sum, cached per a >= 0 entry when exact.  It first folds its
-terms (``_fold``): an entry with a > L is 0, and a < 0 is reflected by
-(L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, which keeps d.  Exact, it adds
-the packed entries as integers, one per class of the shifts mod step,
-each unpacked once on the grid of the step, so q and q^3 read one row.
-Row L has slots of 64 w bits, w = slot_words(3^L); a class sum that
-could pass them raises OverflowError.  The pair, dual and hierarchy
-sides stay within 2 * 3^L, which fits, since 3^L < 2^(64 w - 1).  The
-rule only adds shifted entries, so the exact path has no division and no
-remainder check: its correctness rests on the tests against sums of
+A single exact value is its packed entry, unpacked on its own and cached
+per a >= 0 entry; ``round_trinomial_sum`` reads sums of entries.  It
+first folds its terms (``_fold``): an entry with a > L is 0, and a < 0 is
+reflected by (L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, which keeps d.
+Exact, it hands the packed entries to ``series.packed_sum``, which adds
+them as integers in unsigned slots, one per class of the shifts mod
+step, and unpacks each class once on the grid of the step, so q and q^3
+read one row.  Row L has slots of 64 w bits, w = slot_words(3^L); a
+class sum that could pass them raises OverflowError.  The pair, dual and
+hierarchy sides stay within 2 * 3^L, which fits, since 3^L < 2^(64 w - 1).
+The rule only adds shifted entries, so the exact path has no division and
+no remainder check: its correctness rests on the tests against sums of
 products of Gaussian binomials.  T_n values and sums are these, reversed.
 
 Below a cutoff, each distinct folded (b, a) is built once, at its lowest
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .series import LaurentSeries, slot_words, unpack_series
+from .series import LaurentSeries, packed_sum, slot_words, unpack_series
 from .qblocks import gaussian_binomial
 
 
@@ -212,8 +213,11 @@ _ROWS = _RowStore()
 
 @lru_cache(maxsize=None)
 def _round_trinomial(L: int, b: int, a: int, step: int) -> LaurentSeries:
-    # 0 <= a <= L here, so the pair a, -a shares one entry
-    return round_trinomial_sum(L, step, [(b, a, 0)])
+    # 0 <= a <= L here, so the pair a, -a shares one entry: its packed
+    # entry of row L, unpacked on its own
+    d = b - a
+    row, w = _ROWS.row(L, min(0, d), max(1, d))
+    return unpack_series(row[d][a], w, -_offset(d) * step, step)
 
 
 def _exact_round(L: int, b: int, a: int, step: int) -> LaurentSeries:
@@ -255,9 +259,10 @@ def round_trinomial_sum(L: int, step: int, terms,
 
     The terms are first folded onto 0 <= a <= L (``_fold``).  With a
     cutoff, the sum of the truncated builds, one for each distinct (b, a)
-    at its lowest shift.  Exact, it reads the packed entries of row L: the
-    entries whose shifts share a class mod step are added as integers, one
-    per class, each unpacked once.  Nothing is cached but the row."""
+    at its lowest shift.  Exact, it adds the packed entries of row L by
+    ``packed_sum``: the entries whose shifts share a class mod step are
+    added as integers, one per class, each unpacked once.  Nothing is
+    cached but the row."""
     kept = [t for t in (_fold(L, step, *term) for term in terms)
             if t is not None]
     if cutoff is not None:
@@ -282,17 +287,10 @@ def round_trinomial_sum(L: int, step: int, terms,
     if max(copies.values()) * 3 ** L >= 1 << 64 * w + 1:
         raise OverflowError(f"a sum of {len(kept)} entries of row {L} may "
                             f"pass its slots of {64 * w} bits")
-    # slot i of the class r sum stands for q_step^(base + i) q^(r/2), and
-    # an entry holds q_step^e at slot e + _offset(d): at shift s step + r
-    # it moves up k - base slots, k = s - _offset(d)
-    at = [(sh % step, sh // step - _offset(b - a), row[b - a][a])
-          for b, a, sh in kept]
-    base = min(k for r, k, x in at)
-    sums: dict = {}
-    for r, k, x in at:
-        sums[r] = sums.get(r, 0) + (x << 64 * w * (k - base))
-    return LaurentSeries.sum(unpack_series(x, w, base * step + r, step)
-                             for r, x in sums.items())
+    # an entry holds q_step^e at slot e + _offset(d), so slot 0 of the
+    # entry at shift sh stands for q^((sh - _offset(d) step)/2)
+    return packed_sum(((row[b - a][a], sh - _offset(b - a) * step, False)
+                       for b, a, sh in kept), w, step)
 
 
 def _half_units(u: int, step: int) -> int:

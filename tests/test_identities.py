@@ -19,7 +19,8 @@ from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
                               verify_limit_stabilization)
 from qtrin.qblocks import (MonomialArg, gaussian_binomial, poch_finite,
                            q_poch)
-from qtrin.series import LaurentSeries, TrivariateSeries, exact_divide
+from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
+                          unpack_series)
 from qtrin.trinomials import (TParams, TrinomialParams, round_trinomial,
                               t_trinomial)
 
@@ -494,13 +495,19 @@ def _ratio_reference(M, m, n):
     return exact_divide(q_poch(M, 6), den)
 
 
+def unpacked(table):
+    """The entries of a packed _ratio3 table as series."""
+    w, h, entries = table
+    return [unpack_series(x, w, 0, 2, signed=True) for x in entries]
+
+
 class TestRatios:
     """The multinomial quotient tables, built one denominator factor at a
     time, against long division by the whole Pochhammer product."""
 
     def test_tables_hold_exactly_the_range(self):
         for M in range(13):
-            assert len(identities._ratio3(M)) == M // 2 + 1
+            assert len(unpacked(identities._ratio3(M))) == M // 2 + 1
             assert set(identities._ratio4(M)) == \
                 {(m, n) for n in range(M // 2 + 1)
                  for m in range(M - 2 * n + 1)}
@@ -513,9 +520,12 @@ class TestRatios:
     def test_ratio3_is_ratio4_at_d_zero(self):
         clear_caches()
         for L in range(13):
-            for n, r in enumerate(identities._ratio3(L)):
-                assert r is identities._ratio4(L)[L - 2 * n, n]
+            table = identities._ratio3(L)
+            entries = unpacked(table)
+            for n, r in enumerate(entries):
+                assert r == identities._ratio4(L)[L - 2 * n, n]
                 assert r == _ratio_reference(L, L - 2 * n, n)
+            assert table[1] == sum(r.max_abs_coeff() for r in entries)
 
     @given(st.lists(st.tuples(st.sampled_from(["_ratio3", "_ratio4"]),
                               st.integers(0, 12)), min_size=1, max_size=6))
@@ -529,7 +539,8 @@ class TestRatios:
         for name, M in requests:
             table = getattr(identities, name)(M)
             if name == "_ratio3":
-                table = {(M - 2 * n, n): r for n, r in enumerate(table)}
+                table = {(M - 2 * n, n): r
+                         for n, r in enumerate(unpacked(table))}
             for (m, n), r in table.items():
                 assert r == _ratio_reference(M, m, n), (name, M, m, n)
 
@@ -557,9 +568,48 @@ class TestRatios:
         # (q^3;q^3)_80 / (q^3;q^3)_40, and column 0 of _ratio4(30) walks
         # down to (q^3;q^3)_30 / (q^3;q^3)_30 = 1
         if ratio == "_ratio3":
-            assert cold[40] == poch_finite(MonomialArg(1, 6 * 41), 6, 40)
+            assert unpacked(cold)[40] == \
+                poch_finite(MonomialArg(1, 6 * 41), 6, 40)
         else:
             assert cold[0, 0] == LaurentSeries.one()
+
+
+def pair_lhs_terms(L):
+    """id -> (sign, exponents) of the six pair and dual LHS sums
+    sum_n sign^n _ratio3 entry n q^(e(n)/2), one term per exponent e."""
+    def binom2(x):
+        return x * (x - 1) // 2
+    return {
+        "first_pair": (-1, [lambda n: 3 * n * n + n,
+                            lambda n: 3 * n * n - n + 4 * L + 2]),
+        "second_pair": (-1, [lambda n: 3 * n * n - n]),
+        "third_pair": (-1, [lambda n: 3 * n * n + n]),
+        "first_pair_dual": (1, [lambda n: 2 * binom2(L - 2 * n),
+                                lambda n: 2 * (binom2(L - 2 * n + 1)
+                                               + n + L + 1)]),
+        "second_pair_dual": (1, [lambda n: 2 * binom2(L - 2 * n)]),
+        "third_pair_dual": (1, [lambda n: (L - 2 * n) ** 2]),
+    }
+
+
+class TestRatio3Sums:
+    """The pair and dual LHS add packed entries; the reference adds the
+    signed, shifted series of the walk."""
+
+    # the table takes w = slot_words(2 * sum of its heights): one word
+    # through L = 40, two from L = 41 and three from L = 78.  L = 41 and
+    # 77 are odd, where third_pair_dual lives on odd exponents
+    @pytest.mark.parametrize("L, w", [(40, 1), (41, 2), (77, 2), (78, 3)])
+    def test_lhs_across_width_edges(self, L, w):
+        clear_caches()
+        assert identities._ratio3(L)[0] == w
+        walk = list(identities._ratio3_walk(L))
+        for id, (sign, exps) in pair_lhs_terms(L).items():
+            want = LaurentSeries.sum((r if sign ** n > 0 else -r).shift(e(n))
+                                     for n, r in enumerate(walk)
+                                     for e in exps)
+            got = compute_side(IdentityInstance(id, {"L": L}), "LHS")
+            assert got == want, (id, L)
 
 
 LAW_FAMILIES = [("first_pair", {}), ("second_pair", {}), ("third_pair", {}),

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from qtrin import identities
 from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
-                          slot_words, unpack_series)
+                          pack_series, packed_div_one_minus,
+                          packed_mul_one_minus, packed_sum, slot_words,
+                          unpack_series)
 
 from dict_series import DictSeries
 
@@ -585,6 +588,107 @@ class TestUnpackClasses:
         parts, w, step, want = case
         same(LaurentSeries.sum(unpack_series(x, w, lo, step)
                                for x, lo in parts), want)
+
+
+@st.composite
+def packed_parts(draw):
+    """(parts, w, stride, signed, reference): parts (x, e, minus) for
+    packed_sum, some repeated, at exponents of mixed classes mod the
+    stride, and their sum as a DictSeries.  Each slot of a part is at most
+    the slot's limit over the number of parts, and at that limit in
+    absolute value often, so every class sum fits its slots and a single
+    part reaches +-(X / 2 - 1) signed, X - 1 unsigned."""
+    stride = draw(st.sampled_from([1, 2, 6]))
+    w = draw(st.integers(1, 3))
+    signed = draw(st.booleans())
+    drawn = draw(st.lists(st.tuples(st.integers(-12, 12), st.booleans(),
+                                    st.integers(1, 3)), max_size=5))
+    m = max(1, sum(k for e, minus, k in drawn))
+    top = ((1 << 64 * w - 1) - 1 if signed else (1 << 64 * w) - 1) // m
+    low = -top if signed else 0
+    slot = st.one_of(st.just(0), st.just(top), st.just(low),
+                     st.integers(low, top))
+    parts, want = [], DictSeries()
+    for e, minus, k in drawn:
+        minus = minus and signed
+        c = draw(st.lists(slot, max_size=8))
+        x = sum(v << 64 * w * i for i, v in enumerate(c))
+        part = DictSeries({e + stride * i: -v if minus else v
+                           for i, v in enumerate(c)})
+        for _ in range(k):
+            parts.append((x, e, minus))
+            want = want + part
+    return parts, w, stride, signed, want
+
+
+def _signed_slots(w):
+    limit = (1 << 64 * w - 1) - 1
+    slot = st.one_of(st.sampled_from([limit, -limit]),
+                     st.integers(-limit, limit))
+    return st.tuples(st.just(w), st.lists(slot, min_size=1, max_size=12))
+
+
+# (w, c): up to 12 two's-complement slots of 64 w bits, often at their
+# limits +-(X / 2 - 1)
+signed_slots = st.integers(1, 3).flatmap(_signed_slots)
+
+
+class TestPackedSum:
+    """The one class-sum kernel of the round-trinomial and the _ratio3
+    sums against the dict reference, and the guard of the _ratio3 sums."""
+
+    @given(packed_parts())
+    @example(([], 1, 2, True, DictSeries()))
+    # one signed part at both limits of a two-word slot, subtracted
+    @example(([(-(2 ** 127 - 1) + ((2 ** 127 - 1) << 128), 3, True)], 2, 2,
+              True, DictSeries({3: 2 ** 127 - 1, 5: -(2 ** 127 - 1)})))
+    # two classes mod 6 that cancel to one slot, and a full unsigned slot
+    @example(([(1 + (5 << 64), 0, False), (5, 7, False),
+               (2 ** 64 - 1, -6, False)], 1, 6, False,
+              DictSeries({-6: 2 ** 64 - 1, 0: 1, 6: 5, 7: 5})))
+    def test_matches_dict_reference(self, case):
+        parts, w, stride, signed, want = case
+        same(packed_sum(iter(parts), w, stride, signed), want)
+
+    @given(signed_slots, st.sampled_from([1, 2, 6]))
+    @example((1, [0, 2 ** 63 - 1, 0, -(2 ** 63 - 1)]), 2)
+    def test_signed_pack_round_trip(self, case, stride):
+        w, c = case
+        s = LaurentSeries({i * stride: v for i, v in enumerate(c)})
+        x = pack_series(s, w, stride)
+        assert x == sum(v << 64 * w * i for i, v in enumerate(c))
+        assert unpack_series(x, w, 0, stride, signed=True) == s
+
+    @given(signed_slots, st.integers(1, 16))
+    @example((1, [1] * 12), 1)
+    @example((2, [-(2 ** 127 - 1), 2 ** 127 - 1, 0, 0, 5]), 3)
+    def test_packed_one_minus_steps(self, case, d):
+        # Q (1 - X^d) is a multiple of 1 - X^d, and dividing it out gives
+        # Q back on its n slots
+        w, c = case
+        want = DictSeries({i: v for i, v in enumerate(c)}) + \
+            DictSeries({i + d: -v for i, v in enumerate(c)})
+        x = sum(v << 64 * w * i for i, v in enumerate(c))
+        p = packed_mul_one_minus(x, w, d)
+        assert p == sum(v << 64 * w * e for e, v in want.terms.items())
+        assert packed_div_one_minus(p, w, d, len(c)) == x
+
+    def test_ratio3_sum_guard(self):
+        # a sum fits while its heights add up below X / 2; at L = 40 the
+        # table has one-word slots, sized for each entry read twice
+        identities.clear_caches()
+        w, h, table = identities._ratio3(40)
+        k = 2
+        while slot_words((k + 1) * h) == w:
+            k += 1
+
+        def e(n):
+            return 3 * n * n + n
+        one = identities._ratio3_sum(40, -1, e)
+        assert identities._ratio3_sum(40, -1, *[e] * k) == \
+            one.scale_coeffs(k)
+        with pytest.raises(OverflowError):
+            identities._ratio3_sum(40, -1, *[e] * (k + 1))
 
 
 class TestSum:
