@@ -9,10 +9,9 @@ Subcommands:
 * ``suite``      the full acceptance battery.
 
 Exit codes: 0 all checks matched, 1 at least one mismatch, 2 invalid
-invocation.  Reports stream record-by-record in parameter order, so
-output is deterministic regardless of the worker pool size (set with
-``--jobs`` or the QTRIN_JOBS environment variable, read at each call; a
-size below 1 is invalid).
+invocation.  A sweep verifies its instances one after another in the
+calling process, so each reuses the rows and tables that the ones before
+it built, and reports stream record-by-record in parameter order.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -165,21 +163,6 @@ def _cutoff_halves(args) -> Optional[int]:
     return None
 
 
-def _jobs(args) -> int:
-    """``--jobs``, else QTRIN_JOBS as set at this call, else 1."""
-    jobs, source = args.jobs, "--jobs"
-    if jobs is None:
-        raw, source = os.environ.get("QTRIN_JOBS", "1"), "QTRIN_JOBS"
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise UsageError(f"QTRIN_JOBS must be an integer, "
-                             f"got {raw!r}") from None
-    if jobs < 1:
-        raise UsageError(f"{source} must be at least 1, got {jobs}")
-    return jobs
-
-
 def _instances_for_sweep(id: str, ranges: list[tuple[str, list[int]]],
                          fixed: dict, cutoff: Optional[int]):
     names = [n for n, _ in ranges]
@@ -210,28 +193,13 @@ def _graded(id: str) -> bool:
     return "t_cutoff" in REGISTRY[id].param_names
 
 
-def _reports(instances, jobs: int):
-    # fork starts every worker at the first submit: no more than needed;
-    # one job never asks how many cores there are
-    workers = jobs if jobs <= 1 else \
-        min(jobs, len(instances), os.cpu_count() or 1)
-    if workers <= 1:
-        yield from map(verify_identity, instances)
-        return
-    import concurrent.futures     # here, so a serial run never loads it
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        # executor.map preserves input order, so output stays
-        # deterministic whatever the pool size
-        yield from ex.map(verify_identity, instances)
-
-
-def _run_instances(instances, jobs: int, fmt: str, out) -> int:
+def _run_instances(instances, fmt: str, out) -> int:
     _validate(instances)
     writer = ReportWriter(fmt, out,
                           any(_graded(inst.id) for inst in instances))
     all_match = True
     try:
-        for rep in _reports(instances, jobs):
+        for rep in map(verify_identity, instances):
             all_match &= rep.match
             writer.write(rep)
     except ValueError as exc:
@@ -248,18 +216,17 @@ def _run_instances(instances, jobs: int, fmt: str, out) -> int:
 def cmd_verify(args, out) -> int:
     params = _parse_params(args)
     inst = IdentityInstance(args.id, params, _cutoff_halves(args))
-    return _run_instances([inst], 1, args.format, out)
+    return _run_instances([inst], args.format, out)
 
 
 def cmd_sweep(args, out) -> int:
     if not args.range:
         raise UsageError("sweep needs at least one --range name=lo..hi")
-    jobs = _jobs(args)
     ranges = [_parse_range(r) for r in args.range]
     fixed = _parse_params(args)
     insts = _instances_for_sweep(args.id, ranges, fixed,
                                  _cutoff_halves(args))
-    return _run_instances(insts, jobs, args.format, out)
+    return _run_instances(insts, args.format, out)
 
 
 def cmd_coeffs(args, out) -> int:
@@ -339,8 +306,7 @@ def cmd_suite(args, out) -> int:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process.  Nothing in it depends on
-    the environment: ``cmd_sweep`` reads QTRIN_JOBS at each call."""
+    """The CLI parser, built once per process."""
     top = argparse.ArgumentParser(
         prog="qtrin",
         description="exact verification of q-trinomial and q-series "
@@ -367,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--id", required=True, choices=identity_ids())
     ps.add_argument("--range", action="append", metavar="NAME=LO..HI",
                     help="swept parameter (repeatable)")
-    ps.add_argument("--jobs", type=int,
-                    help="worker pool size (default: QTRIN_JOBS or 1)")
     add_common(ps)
 
     pc = sub.add_parser("coeffs", help="print coefficients of one side")

@@ -640,7 +640,7 @@ def _t_graded_sum(rows: list, step: int, c: int) -> TrivariateSeries:
 
 def _genfun_lhs(p, c):
     pair, tcut = p["pair"], p["t_cutoff"]
-    rhs = REGISTRY[("first_pair", "second_pair", "third_pair")[pair - 1]].rhs
+    rhs = (_first_pair_rhs, _second_pair_rhs, _third_pair_rhs)[pair - 1]
     return _t_graded_sum([{0: rhs({"L": L}, None)} for L in range(tcut + 1)],
                          6, c)
 

@@ -459,6 +459,18 @@ class TestLemma31:
                 "genfun_products", {"pair": pair, "t_cutoff": 4}, q(8)))
             assert rep.match, (pair, rep.first_mismatch)
 
+    def test_genfun_lhs_reads_no_registry_side(self, monkeypatch):
+        # a traced run wraps every registry side; a side read inside
+        # another would be timed as both
+        def unbuilt(p, c):
+            raise AssertionError("a registry side was built")
+        for id in ("first_pair", "second_pair", "third_pair"):
+            monkeypatch.setitem(REGISTRY, id, dataclasses.replace(
+                REGISTRY[id], rhs=unbuilt))
+        for pair in (1, 2, 3):
+            compute_side(IdentityInstance(
+                "genfun_products", {"pair": pair, "t_cutoff": 2}, q(4)), "LHS")
+
 
 class TestEuler:
     """Euler's two sums give (z; Q)_inf and its reciprocal, z = t^a x^b
