@@ -162,7 +162,7 @@ _CACHES = {"q_poch": qblocks.q_poch,
 
 def cache_sizes() -> dict[str, int]:
     """Number of entries each exact-path cache holds, and the rows of
-    round trinomials kept with the entries across them."""
+    round trinomials kept, the cut row too, with the entries across them."""
     sizes = {name: fn.cache_info().currsize for name, fn in _CACHES.items()}
     sizes["round_rows"], sizes["round_row_entries"] = \
         trinomials._ROWS.sizes()

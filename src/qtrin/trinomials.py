@@ -7,9 +7,9 @@
 
 The ``step`` fields are the base in half-exponent units (2 = q, 6 = q^3).
 
-Exact round trinomials are built one row L at a time from row L - 1 by
-the q-multinomial Pascal rule behind the Andrews--Baxter recurrences.
-With d = b - a and a >= 0:
+Round trinomials are built one row L at a time from row L - 1 by the
+q-multinomial Pascal rule behind the Andrews--Baxter recurrences.  With
+d = b - a and a >= 0:
 
     d <= 0:  (L, b; a)_2 = q^(1+b) (L-1, b+2; a+1)_2 + (L-1, b+1; a)_2
                            + q^(L-a) (L-1, b-1; a-1)_2
@@ -25,20 +25,18 @@ A single exact value is its packed entry, unpacked on its own and cached
 per a >= 0 entry; ``round_trinomial_sum`` reads sums of entries.  It
 first folds its terms (``_fold``): an entry with a > L is 0, and a < 0 is
 reflected by (L, b; a)_2 = q^(a(a-b)) (L, b-2a; -a)_2, which keeps d.
-Exact, it hands the packed entries to ``series.packed_sum``, which adds
-them as integers in unsigned slots, one per class of the shifts mod
-step, and unpacks each class once on the grid of the step, so q and q^3
-read one row.  Row L has slots of 64 w bits, w = slot_words(3^L); a
-class sum that could pass them raises OverflowError.  The pair, dual and
-hierarchy sides stay within 2 * 3^L, which fits, since 3^L < 2^(64 w - 1).
-The rule only adds shifted entries, so the exact path has no division and
-no remainder check: its correctness rests on the tests against sums of
-products of Gaussian binomials.  T_n values and sums are these, reversed.
+It hands the packed entries to ``series.packed_sum``, which adds them as
+integers in unsigned slots, one per class of the shifts mod step, and
+unpacks each class once on the grid of the step, so q and q^3 read one
+row.  Row L has slots of 64 w bits, w = slot_words(3^L); a class sum
+that could pass them raises OverflowError.  The pair, dual and hierarchy
+sides stay within 2 * 3^L, which fits, since 3^L < 2^(64 w - 1).  The
+rule only adds shifted entries, so there is no division and no remainder
+check: correctness rests on the tests against sums of products of
+Gaussian binomials.  T_n values and sums are these, reversed.
 
-Below a cutoff, each distinct folded (b, a) is built once, at its lowest
-shift, from its summands: each, a q-multinomial coefficient, is carried
-from the one before it by two factors 1 - q_step^k multiplied and two
-divided out, below the cutoff and directly in base q_step.
+Below a cutoff the sum reads one cut row, stepped the same way through
+only the slots that its terms reach, and truncates the result.
 """
 from __future__ import annotations
 
@@ -93,36 +91,6 @@ class RefinedTParams:
             raise ValueError("step must be positive")
 
 
-def _round_sum(L: int, b: int, a: int, step: int,
-               cutoff: int) -> LaurentSeries:
-    # 0 <= a <= L here (see _fold).  Summand n is q^(n(n+b)) M_n,
-    # 0 <= n <= (L-a)/2, with the multinomial
-    # M_n = (q)_L / ((q)_n (q)_{n+a} (q)_{L-2n-a}), built in half-units of
-    # base q_step: exponent k of q_step is k * step.
-    shifts = [n * (n + b) * step for n in range((L - a) // 2 + 1)]
-    # the shifts are convex in n: past the last summand that starts below
-    # the cutoff, none does
-    while shifts and shifts[-1] > cutoff:
-        shifts.pop()
-    if not shifts:
-        return LaurentSeries.zero(cutoff)
-    # M_0 = [L, a], carried below the lowest cutoff any summand needs
-    m = gaussian_binomial(L, a, step, cutoff - min(shifts))
-    parts = []
-    for n, sh in enumerate(shifts):
-        if n:
-            # M_n = M_{n-1} (1-q^r)(1-q^(r-1)) / ((1-q^n)(1-q^(n+a))) with
-            # r = L-2n+2-a
-            r = L - 2 * n + 2 - a
-            m = m.mul_one_minus(1, r * step).div_one_minus(1, n * step) \
-                .mul_one_minus(1, (r - 1) * step) \
-                .div_one_minus(1, (n + a) * step)
-        if sh <= cutoff:
-            # the sum's cutoff truncates each summand at cutoff - sh
-            parts.append(m.shift(sh))
-    return LaurentSeries.sum(parts, cutoff)
-
-
 def _offset(d: int) -> int:
     """Entries of column d <= -2 reach down to q^(-d^2/4), so each is held
     times q^_offset(d), which has no negative exponent."""
@@ -134,11 +102,13 @@ def _shift(x: int, bits: int) -> int:
     return x << bits if bits >= 0 else x >> -bits
 
 
-def _next_row(k: int, prev: dict, bits: int) -> dict:
+def _next_row(k: int, prev: dict, bits: int,
+              mask: Optional[int] = None) -> dict:
     """Row k from row k - 1 by the rule in the module docstring, over the
     same window of d.  A row maps d to the entries (k, a + d; a)_2,
     a = 0..k, each held times q^_offset(d) as the packed integer
-    sum c_e X^e, X = 2^bits, so that q^s is a shift by bits * s."""
+    sum c_e X^e, X = 2^bits, so that q^s is a shift by bits * s; with a
+    mask, each entry is cut to its slots, column by column."""
     row = {}
     for d, col in prev.items():
         col = col + [0, 0]      # entries a = k, k + 1 of row k - 1 are 0
@@ -157,55 +127,68 @@ def _next_row(k: int, prev: dict, bits: int) -> dict:
             row[d] = [col[a] + (down[a + 1] << (k + d - 1) * bits)
                       + (col[a - 1] << (k - a) * bits if a else fold)
                       for a in range(k + 1)]
+        if mask:
+            row[d] = [x & mask for x in row[d]]
     return row
 
 
 class _RowStore:
-    """Rows of exact round trinomials, kept packed, and only where a caller
-    asked.
+    """Rows of round trinomials, kept packed, and only where a caller asked:
+    exact rows per L, and one cut row, the last one built, whose entries
+    keep only their first ``top`` slots after every step.
 
     Row L holds every d of a window [lo, hi] with lo <= 0 < hi.  Entry d
     needs d and d + 1 (d <= 0) or d - 1 and d (d >= 1) of the row below,
     so such a window is closed: a row is only ever stepped over it, from
-    the highest kept row of the same slot width that covers it, or from
-    row 0.  Each entry is one packed integer (see _next_row) with slots of
-    64 w bits, w = slot_words(3^L): every coefficient up to row L is below
-    3^L, the value of the whole row at q = 1, so no slot carries.  A kept
-    row of narrower slots is never reused, so the first row built past a
-    width edge (rows 40 and 81) steps up from row 0.  A row is kept
-    packed, and ``round_trinomial_sum`` reads its packed entries
-    (``row``)."""
+    the highest kept row of the same slot width that covers it and, for
+    the cut row, holds at least ``top`` slots (every exact row does), or
+    from row 0.  Each entry is one packed integer (see _next_row) with
+    slots of 64 w bits, w = slot_words(3^L): every coefficient up to row L
+    is below 3^L, the value of the whole row at q = 1, so no slot carries.
+    A kept row of narrower slots is never reused, so the first row built
+    past a width edge (rows 40, 81 and 121) steps up from row 0.
+    ``round_trinomial_sum`` reads the packed entries (``row``)."""
 
     def __init__(self):
         self._rows: dict[int, dict] = {}
+        self._cut: dict[int, dict] = {}
+        self._top = 0
 
-    def row(self, L: int, lo: int, hi: int) -> tuple[dict, int]:
+    def row(self, L: int, lo: int, hi: int,
+            top: Optional[int] = None) -> tuple[dict, int]:
         """Row L over at least the window [lo, hi], lo <= 0 < hi, as d ->
-        the packed entries a = 0..L, and the slot words w of its entries."""
+        the packed entries a = 0..L, and the slot words w of its entries;
+        a cut row if top is given and no exact row L covers the window."""
         row = self._rows.get(L)
         if row is None or lo not in row or hi not in row:
             row = self._build(L, min([lo, *(row or ())]),
-                              max([hi, *(row or ())]))
+                              max([hi, *(row or ())]), top)
         return row, slot_words(3 ** L)
 
-    def _build(self, L: int, lo: int, hi: int) -> dict:
+    def _build(self, L: int, lo: int, hi: int, top: Optional[int]) -> dict:
         w = slot_words(3 ** L)
-        start = max((k for k, r in self._rows.items() if k < L and lo in r
+        kept = {**(self._cut if top and top <= self._top else {}),
+                **self._rows}
+        start = max((k for k, r in kept.items() if k <= L and lo in r
                      and hi in r and slot_words(3 ** k) == w), default=0)
-        row = {d: self._rows[start][d] if start
+        row = {d: kept[start][d] if start
                else [1 << 64 * w * _offset(d)] for d in range(lo, hi + 1)}
         for k in range(start + 1, L + 1):
-            row = _next_row(k, row, 64 * w)
-        self._rows[L] = row
+            row = _next_row(k, row, 64 * w, top and (1 << 64 * w * top) - 1)
+        if top:
+            self._cut, self._top = {L: row}, top
+        else:
+            self._rows[L] = row
         return row
 
     def clear(self) -> None:
         self._rows.clear()
+        self._cut, self._top = {}, 0
 
     def sizes(self) -> tuple[int, int]:
-        """Rows kept, and entries across them."""
-        return len(self._rows), sum(len(r) * (L + 1)
-                                    for L, r in self._rows.items())
+        """Rows kept, the cut row among them, and entries across them."""
+        rows = [*self._rows.items(), *self._cut.items()]
+        return len(rows), sum(len(r) * (L + 1) for L, r in rows)
 
 
 _ROWS = _RowStore()
@@ -235,8 +218,8 @@ def round_trinomial(p: TrinomialParams,
     """The round q-trinomial coefficient (L, b; a; q_step)_2.
 
     Exact and cached when ``cutoff`` is None, one entry per pair a, -a;
-    otherwise equal to the exact value truncated at ``cutoff``, built only
-    below it and not cached.
+    otherwise the one-term ``round_trinomial_sum``, the exact value
+    truncated at ``cutoff``, read from the cut row and not cached.
     """
     if cutoff is None:
         return _exact_round(p.L, p.b, p.a, p.step)
@@ -255,42 +238,44 @@ def _fold(L: int, step: int, b: int, a: int, sh: int):
 def round_trinomial_sum(L: int, step: int, terms,
                         cutoff: Optional[int] = None) -> LaurentSeries:
     """sum (L, b; a; q_step)_2 q^(shift/2) over the (b, a, shift) in
-    ``terms`` (any iterable; a term may repeat).
+    ``terms`` (any iterable; a term may repeat), truncated at ``cutoff``.
 
-    The terms are first folded onto 0 <= a <= L (``_fold``).  With a
-    cutoff, the sum of the truncated builds, one for each distinct (b, a)
-    at its lowest shift.  Exact, it adds the packed entries of row L by
-    ``packed_sum``: the entries whose shifts share a class mod step are
-    added as integers, one per class, each unpacked once.  Nothing is
-    cached but the row."""
+    The terms are first folded onto 0 <= a <= L (``_fold``); with a
+    cutoff, those with no slot at or below it are dropped, and the rest
+    read a cut row L (``_RowStore``).  ``packed_sum`` adds the entries
+    whose shifts share a class mod step as integers, one per class, each
+    unpacked once.  Nothing is cached but the row."""
     kept = [t for t in (_fold(L, step, *term) for term in terms)
             if t is not None]
+    # an entry holds q_step^e at slot e + _offset(d), so slot 0 of the
+    # entry at shift sh stands for q^((sh - _offset(d) step)/2)
     if cutoff is not None:
-        low: dict = {}
-        for b, a, sh in kept:
-            low[b, a] = min(sh, low.get((b, a), sh))
-        built = {k: _round_sum(L, *k, step, cutoff - sh)
-                 for k, sh in low.items()}
-        return LaurentSeries.sum((built[b, a].shift(sh) for b, a, sh in kept),
-                                 cutoff)
+        reach = [(cutoff - sh) // step + _offset(b - a) + 1
+                 for b, a, sh in kept]
+        kept = [t for t, n in zip(kept, reach) if n > 0]
     if not kept:
-        return LaurentSeries.zero()
+        return LaurentSeries.zero(cutoff)
     ds = [b - a for b, a, sh in kept]
-    row, w = _ROWS.row(L, min(0, *ds), max(1, *ds))
+    lo = min(0, *ds)
+    # columns below -1 step down by right shifts, but a slot cut at top
+    # lands at top - _offset(lo) or above: no coefficient is negative and
+    # every entry has a term at q^0 or below
+    top = None if cutoff is None else max(reach) + _offset(lo)
+    row, w = _ROWS.row(L, lo, max(1, *ds), top)
     # At q = 1 an entry is the trinomial coefficient T(L, a), whatever b,
     # and T(L, 0) + 2 (T(L, 1) + ... + T(L, L)) = 3^L.  So no slot of a
     # class sum passes max(m_0, m / 2) 3^L, with m_0 terms at a = 0 and at
-    # most m at any a > 0; unsigned slots of 64 w bits hold it.
+    # most m at any a > 0; unsigned slots of 64 w bits hold it.  A cut
+    # entry is at most the exact one in every slot.
     copies: dict = {}
     for b, a, sh in kept:
         copies[a] = copies.get(a, 0) + (1 if a else 2)
     if max(copies.values()) * 3 ** L >= 1 << 64 * w + 1:
         raise OverflowError(f"a sum of {len(kept)} entries of row {L} may "
                             f"pass its slots of {64 * w} bits")
-    # an entry holds q_step^e at slot e + _offset(d), so slot 0 of the
-    # entry at shift sh stands for q^((sh - _offset(d) step)/2)
-    return packed_sum(((row[b - a][a], sh - _offset(b - a) * step, False)
-                       for b, a, sh in kept), w, step)
+    out = packed_sum(((row[b - a][a], sh - _offset(b - a) * step, False)
+                      for b, a, sh in kept), w, step)
+    return out if cutoff is None else out.truncate(cutoff)
 
 
 def _half_units(u: int, step: int) -> int:

@@ -20,7 +20,7 @@ from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
 from qtrin.qblocks import (MonomialArg, gaussian_binomial, poch_finite,
                            q_poch)
 from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
-                          unpack_series)
+                          slot_words, unpack_series)
 from qtrin.trinomials import (TParams, TrinomialParams, round_trinomial,
                               t_trinomial)
 
@@ -284,29 +284,35 @@ class TestBuildsOnce:
         clear_caches()
         build, seen = trinomials._RowStore._build, []
 
-        def counted(self, L, lo, hi):
+        def counted(self, L, lo, hi, top):
             seen.append(L)
-            return build(self, L, lo, hi)
+            return build(self, L, lo, hi, top)
         monkeypatch.setattr(trinomials._RowStore, "_build", counted)
         compute_side(IdentityInstance("first_pair", {"L": 10}), "RHS")
         assert seen == [10]
 
-    def test_truncated_first_pair_rhs_builds_each_pair_once(self,
-                                                            monkeypatch):
-        # (L, j+1; j) at j < 0 folds onto (L, 1-j; -j), the entry of -j,
-        # so the L + 1 entries a = 0..L are built once each, not 2L + 1
-        fn, seen = trinomials._round_sum, []
+    @pytest.mark.parametrize("id, steps", [
+        ("first_pair", 99), ("second_pair", 360), ("third_pair", 99)])
+    def test_limit_steps_each_row_once(self, monkeypatch, id, steps):
+        # the members L = 0, 1, ... are built below the window, each from
+        # the cut row of member L - 1; rows 40, 81 and 121 take wider
+        # slots, so each steps up from row 0
+        clear_caches()
+        step, seen = trinomials._next_row, []
 
-        def counted(*args):
-            seen.append(args)
-            return fn(*args)
-        monkeypatch.setattr(trinomials, "_round_sum", counted)
-        # limit stabilization builds the RHS below its window
-        got = identities._first_pair_rhs({"L": 10}, 60)
-        assert len(seen) <= 11
-        exact = compute_side(IdentityInstance("first_pair", {"L": 10}),
-                             "RHS")
-        assert got == exact.truncate(60)
+        def counted(k, *args):
+            seen.append(k)
+            return step(k, *args)
+        monkeypatch.setattr(trinomials, "_next_row", counted)
+        assert verify_limit_stabilization(id, 240).match
+        top = max(seen)
+        edges = [L for L in range(1, top + 1)
+                 if slot_words(3 ** L) > slot_words(3 ** (L - 1))]
+        assert sorted(seen) == sorted([*range(1, top + 1),
+                                       *(k for e in edges
+                                         for k in range(1, e))])
+        assert len(seen) == steps
+        assert cache_sizes()["round_rows"] == 1
 
     def test_exact_sums_unpack_no_entry_on_its_own(self):
         # the six pair and dual RHS and the hierarchy RHS add packed

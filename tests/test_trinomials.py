@@ -137,7 +137,7 @@ class TestRoundTrinomial:
 def two_binomial_round_sum(L, b, a, step, cutoff=None):
     """(L, b; a; q_step)_2 with each summand the product of two Gaussian
     binomials, [L, n] [L-n, n+a], each truncated below the summand's
-    cutoff: the reference for the carried summands."""
+    cutoff: the reference for the rows, exact and cut."""
     out = LaurentSeries.zero(cutoff)
     for n in range(0, (L - a) // 2 + 1 if L - a >= 0 else 0):
         if n + a < 0 or L - 2 * n - a < 0:
@@ -153,13 +153,20 @@ def two_binomial_round_sum(L, b, a, step, cutoff=None):
 
 
 class TestCarriedSummands:
-    @given(st.integers(0, 14), st.integers(-16, 16), st.integers(-3, 3),
+    """Single values, exact and below a cutoff, against the reference."""
+
+    @given(st.integers(0, 30), st.integers(-32, 32), st.integers(-16, 3),
            st.sampled_from([1, 2, 3, 6]),
-           st.one_of(st.none(), st.integers(-40, 120)))
+           st.one_of(st.none(), st.integers(-80, 120)))
     @example(9, 1, -3, 2, None)     # b < a: the lowest shift is at n = 1
     @example(9, 1, -3, 2, -2)       # only summand 1 reaches below -2
-    @settings(max_examples=150, deadline=None)
+    # column -16 steps down by right shifts: a cut row of only the slots
+    # its term reaches, without the _offset(-16) margin, misses q^-15
+    @example(2, 0, -16, 2, -30)
+    @settings(max_examples=300, deadline=None)
     def test_matches_two_binomial_products(self, L, a, d, step, cutoff):
+        # from empty caches, so a cutoff steps the cut row from row 0
+        clear_caches()
         b = a + d
         got = round_trinomial(TrinomialParams(L, b, a, step), cutoff)
         assert got == two_binomial_round_sum(L, b, a, step, cutoff)
@@ -286,12 +293,15 @@ class TestRoundTrinomialSum:
     @pytest.mark.parametrize("b, a, fits", [(0, 0, 4), (1, 1, 9)])
     def test_slot_bound_raises(self, b, a, fits):
         # 3^39 < 2^63: one-word slots hold 2 * 4 * 3^39 / 2 at a = 0 and
-        # 9 * 3^39 / 2 at a > 0, but not one more copy
-        one = two_binomial_round_sum(39, b, a, 6)
-        assert round_trinomial_sum(39, 6, [(b, a, 0)] * fits) == \
-            one.scale_coeffs(fits)
-        with pytest.raises(OverflowError):
-            round_trinomial_sum(39, 6, [(b, a, 0)] * (fits + 1))
+        # 9 * 3^39 / 2 at a > 0, but not one more copy; a cut entry is
+        # bounded as the exact one is, so a cutoff raises as well
+        for cutoff in (None, 300):
+            one = two_binomial_round_sum(39, b, a, 6, cutoff)
+            terms = [(b, a, 0)] * fits
+            assert round_trinomial_sum(39, 6, terms, cutoff) == \
+                one.scale_coeffs(fits)
+            with pytest.raises(OverflowError):
+                round_trinomial_sum(39, 6, terms + [(b, a, 0)], cutoff)
 
 
 class TestTTrinomialSum:
