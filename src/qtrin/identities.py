@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 from . import qblocks, trinomials
 from .series import (LaurentSeries, TrivariateSeries, pack_series,
                      packed_div_one_minus, packed_mul_one_minus, packed_sum,
-                     slot_words)
+                     slot_words, unpack_series)
 from .qblocks import (MonomialArg, gaussian_binomial, inv_poch_infinite,
                       inv_poch_series, poch_infinite, q_poch)
 from .trinomials import (RefinedTParams, TParams, TrinomialParams,
@@ -136,24 +136,31 @@ def _ratio3(L: int) -> tuple[int, int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _ratio4(M: int) -> dict[tuple[int, int], LaurentSeries]:
-    """(m, n) -> (q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_d) over
-    m + 2n <= M, d = M - 2n - m.  Column n starts at its d = 0 entry,
-    entry n of _ratio3_walk(M), and walks down m: the entry at d is the
-    one at d - 1 times (1-q^(m+1)) / (1-q^(3d)), multiplied before it is
-    divided as in the walk."""
-    table = {}
-    for n, r in enumerate(_ratio3_walk(M)):
+def _ratio4(M: int, *exps: Callable[[int, int], int]) -> LaurentSeries:
+    """sum over m + 2n <= M of (q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n
+    (q^3;q^3)_d) q^(e(m, n)/2), d = M - 2n - m, one term for each exponent
+    e in ``exps`` (half-units).  Column n starts at its d = 0 entry, entry
+    n of _ratio3(M), and walks down m: the entry at d is the one at d - 1
+    times (1-q^(m+1)) / (1-q^(3d)), multiplied before it is divided as in
+    the walk, so a remainder still raises.  Each column is added to the
+    running sum once walked, so one column is held at a time."""
+    w, _, table = _ratio3(M)
+    out = LaurentSeries.zero()
+    for n, x in enumerate(table):
         top = M - 2 * n
-        table[top, n] = r
+        r = unpack_series(x, w, 0, 2, signed=True)
+        column = [r.shift(e(top, n)) for e in exps]
         for d in range(1, top + 1):
             r = r.mul_one_minus(1, 2 * (top - d + 1)).div_one_minus(1, 6 * d)
-            table[top - d, n] = r
-    return table
+            column += (r.shift(e(top - d, n)) for e in exps)
+        out = LaurentSeries.sum([out, *column])
+    return out
 
 
 # The lru_caches of the exact path, held as the cached callables
 # themselves so that rebinding a module attribute cannot hide them.
+# _ratio3 holds the one quotient table per L; _ratio4 holds no table,
+# only the folded sums, one per (M, exps).
 _CACHES = {"q_poch": qblocks.q_poch,
            "_gaussian_base": qblocks._gaussian_base,
            "_round_trinomial": trinomials._round_trinomial,
@@ -161,8 +168,9 @@ _CACHES = {"q_poch": qblocks.q_poch,
 
 
 def cache_sizes() -> dict[str, int]:
-    """Number of entries each exact-path cache holds, and the rows of
-    round trinomials kept, the cut row too, with the entries across them."""
+    """Number of entries each exact-path cache holds (for _ratio4, folded
+    sums), and the rows of round trinomials kept, the cut row too, with
+    the entries across them."""
     sizes = {name: fn.cache_info().currsize for name, fn in _CACHES.items()}
     sizes["round_rows"], sizes["round_row_entries"] = \
         trinomials._ROWS.sizes()
@@ -251,11 +259,6 @@ def _mn_sum(M: int, term: Callable[[int, int], LaurentSeries],
              for m in range(M - 2 * n + 1))
     return LaurentSeries.sum(t.shift(e(m, n)) for (m, n), t in terms
                              for e in exps)
-
-
-def _ratio4_sum(M: int, *exps: Callable[[int, int], int]) -> LaurentSeries:
-    table = _ratio4(M)
-    return _mn_sum(M, lambda m, n: table[m, n], *exps)
 
 
 def _fincap_term(N: int, k: int) -> Callable[[int, int], LaurentSeries]:
@@ -373,7 +376,7 @@ def _binom_shift_rhs(p, c):
 
 
 def _thm71_lhs(p, c):
-    return _ratio4_sum(p["M"], _kr1_exp)
+    return _ratio4(p["M"], _kr1_exp)
 
 
 def _thm71_rhs(p, c):
@@ -385,7 +388,7 @@ def _thm71_rhs(p, c):
 
 def _thm72_lhs(p, c):
     M = p["M"]
-    s = _ratio4_sum(M, _outlook2_exp)
+    s = _ratio4(M, _outlook2_exp)
     return s + s.shift(6 * M)                      # times (1 + q^(3M))
 
 
@@ -397,7 +400,7 @@ def _thm72_rhs(p, c):
 
 
 def _fincap2m_lhs(p, c):
-    return _ratio4_sum(p["M"], _cap2_exp_a, _cap2_exp_b)
+    return _ratio4(p["M"], _cap2_exp_a, _cap2_exp_b)
 
 
 def _fincap2m_rhs(p, c):

@@ -213,17 +213,11 @@ def _exact_round(L: int, b: int, a: int, step: int) -> LaurentSeries:
     return entry.shift(sh) if sh else entry
 
 
-def round_trinomial(p: TrinomialParams,
-                    cutoff: Optional[int] = None) -> LaurentSeries:
-    """The round q-trinomial coefficient (L, b; a; q_step)_2.
-
-    Exact and cached when ``cutoff`` is None, one entry per pair a, -a;
-    otherwise the one-term ``round_trinomial_sum``, the exact value
-    truncated at ``cutoff``, read from the cut row and not cached.
-    """
-    if cutoff is None:
-        return _exact_round(p.L, p.b, p.a, p.step)
-    return round_trinomial_sum(p.L, p.step, [(p.b, p.a, 0)], cutoff)
+def round_trinomial(p: TrinomialParams) -> LaurentSeries:
+    """The round q-trinomial coefficient (L, b; a; q_step)_2, exact and
+    cached, one entry per pair a, -a.  Truncated at a cutoff, it is the
+    one-term ``round_trinomial_sum(L, step, [(b, a, 0)], cutoff)``."""
+    return _exact_round(p.L, p.b, p.a, p.step)
 
 
 def _fold(L: int, step: int, b: int, a: int, sh: int):

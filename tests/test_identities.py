@@ -7,6 +7,7 @@ runs the full desk-scale sweeps.
 
 import dataclasses
 import sys
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -268,6 +269,8 @@ class TestCaches:
         verify_identity(IdentityInstance("thm71", {"M": 2}))
         # the pair sums read packed rows; T_n is built from a cached entry
         verify_identity(IdentityInstance("bmo_transform", {"L": 3, "a": 1}))
+        # only poch_reversal reads q_poch
+        verify_identity(IdentityInstance("poch_reversal", {"n": 3}))
         assert all(n > 0 for n in cache_sizes().values())
         first, second = run_cold(), run_cold()
         assert first == second
@@ -325,6 +328,21 @@ class TestBuildsOnce:
         compute_side(IdentityInstance("hierarchy", {"nu": 2, "L": 9}), "RHS")
         assert cache_sizes()["_round_trinomial"] == 0
         assert cache_sizes()["round_rows"] == 2
+
+    def test_quotients_walked_once_per_order(self, monkeypatch):
+        # the pair LHS at L = M and the three bounded Capparelli LHS at M
+        # read one _ratio3(M) table: the series walk runs once
+        clear_caches()
+        walk, seen = identities._ratio3_walk, []
+
+        def counted(L):
+            seen.append(L)
+            return walk(L)
+        monkeypatch.setattr(identities, "_ratio3_walk", counted)
+        assert verify_identity(IdentityInstance("first_pair", {"L": 8})).match
+        for id in ("thm71", "thm72", "fincap2m"):
+            assert verify_identity(IdentityInstance(id, {"M": 8})).match
+        assert seen == [8]
 
     @pytest.mark.parametrize("id, side, params, cutoff, name, calls", [
         ("first_pair", "RHS", {"L": 10}, None, "round_trinomial_sum", 1),
@@ -519,20 +537,49 @@ def unpacked(table):
     return [unpack_series(x, w, 0, 2, signed=True) for x in entries]
 
 
+def _band_width(M):
+    # wider than 3M(M + 1), the largest half-unit degree of a quotient
+    return 3 * M * (M + 1) + 2
+
+
+@lru_cache(maxsize=None)
+def band_exp(M):
+    """e(m, n) = B (m + (M + 1) n) for B = _band_width(M): the fold
+    _ratio4(M, band_exp(M)) puts each (m, n) quotient alone in its own
+    band of B half-units.  One callable per M, so repeated requests hit
+    the cache."""
+    B = _band_width(M)
+    return lambda m, n: B * (m + (M + 1) * n)
+
+
+def bands(M, fold):
+    """(m, n) -> the quotient in band m + (M + 1) n of the fold
+    _ratio4(M, band_exp(M)), shifted down to q^0; only the non-empty
+    bands appear."""
+    out = {}
+    for e, c in fold.terms.items():
+        k, e = divmod(e, _band_width(M))
+        n, m = divmod(k, M + 1)
+        out.setdefault((m, n), {})[e] = c
+    return {mn: LaurentSeries(terms) for mn, terms in out.items()}
+
+
 class TestRatios:
-    """The multinomial quotient tables, built one denominator factor at a
-    time, against long division by the whole Pochhammer product."""
+    """The multinomial quotients, built one denominator factor at a
+    time, against long division by the whole Pochhammer product: the
+    packed _ratio3 table, and the _ratio4 fold read band by band."""
 
     def test_tables_hold_exactly_the_range(self):
         for M in range(13):
             assert len(unpacked(identities._ratio3(M))) == M // 2 + 1
-            assert set(identities._ratio4(M)) == \
+            assert set(bands(M, identities._ratio4(M, band_exp(M)))) == \
                 {(m, n) for n in range(M // 2 + 1)
                  for m in range(M - 2 * n + 1)}
 
     def test_ratio4_matches_exact_divide(self):
         for M in range(13):
-            for (m, n), r in identities._ratio4(M).items():
+            fold = identities._ratio4(M, band_exp(M))
+            for (m, n), r in bands(M, fold).items():
                 assert r == _ratio_reference(M, m, n), (M, m, n)
 
     def test_ratio3_is_ratio4_at_d_zero(self):
@@ -540,30 +587,33 @@ class TestRatios:
         for L in range(13):
             table = identities._ratio3(L)
             entries = unpacked(table)
+            fold = bands(L, identities._ratio4(L, band_exp(L)))
             for n, r in enumerate(entries):
-                assert r == identities._ratio4(L)[L - 2 * n, n]
+                assert r == fold[L - 2 * n, n]
                 assert r == _ratio_reference(L, L - 2 * n, n)
             assert table[1] == sum(r.max_abs_coeff() for r in entries)
 
     @given(st.lists(st.tuples(st.sampled_from(["_ratio3", "_ratio4"]),
                               st.integers(0, 12)), min_size=1, max_size=6))
-    # a d = 0 entry reached through _ratio4 first, then through _ratio3
+    # a _ratio3 table first built for _ratio4, then read again; and a
+    # fold asked for again
     @example([("_ratio4", 9), ("_ratio3", 9), ("_ratio3", 12),
-              ("_ratio4", 12), ("_ratio3", 0)])
+              ("_ratio4", 12), ("_ratio3", 0), ("_ratio4", 9)])
     @settings(max_examples=30, deadline=None)
     def test_any_request_order(self, requests):
-        # a table must not depend on what earlier requests cached
+        # a table or fold must not depend on what earlier requests cached
         clear_caches()
         for name, M in requests:
-            table = getattr(identities, name)(M)
             if name == "_ratio3":
-                table = {(M - 2 * n, n): r
-                         for n, r in enumerate(unpacked(table))}
+                entries = unpacked(identities._ratio3(M))
+                table = {(M - 2 * n, n): r for n, r in enumerate(entries)}
+            else:
+                table = bands(M, identities._ratio4(M, band_exp(M)))
             for (m, n), r in table.items():
                 assert r == _ratio_reference(M, m, n), (name, M, m, n)
 
     @pytest.mark.parametrize("ratio, args", [("_ratio3", (80,)),
-                                             ("_ratio4", (30,))])
+                                             ("_ratio4", (30, band_exp(30)))])
     def test_cold_deep_request_nests_no_call_per_step(self, ratio, args):
         # 40 and 30 carried steps per column, built from empty caches with
         # the recursion limit 40 frames above the current depth
@@ -589,7 +639,7 @@ class TestRatios:
             assert unpacked(cold)[40] == \
                 poch_finite(MonomialArg(1, 6 * 41), 6, 40)
         else:
-            assert cold[0, 0] == LaurentSeries.one()
+            assert bands(30, cold)[0, 0] == LaurentSeries.one()
 
 
 def pair_lhs_terms(L):

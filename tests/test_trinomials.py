@@ -168,7 +168,7 @@ class TestCarriedSummands:
         # from empty caches, so a cutoff steps the cut row from row 0
         clear_caches()
         b = a + d
-        got = round_trinomial(TrinomialParams(L, b, a, step), cutoff)
+        got = round_trinomial_sum(L, step, [(b, a, 0)], cutoff)
         assert got == two_binomial_round_sum(L, b, a, step, cutoff)
 
 

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qtrin.identities import REGISTRY, verify_limit_stabilization
 from qtrin.qblocks import gaussian_binomial
-from qtrin.trinomials import TrinomialParams, round_trinomial
+from qtrin.trinomials import (TrinomialParams, round_trinomial,
+                              round_trinomial_sum)
 
 
 @given(st.integers(-1, 15), st.integers(-1, 16), st.sampled_from([1, 2, 6]),
@@ -31,7 +32,8 @@ def test_gaussian_binomial_below_cutoff(top, bottom, step, cutoff):
 @settings(max_examples=200, deadline=None)
 def test_round_trinomial_below_cutoff(L, a, b, step, cutoff):
     p = TrinomialParams(L, b, a, step)
-    assert round_trinomial(p, cutoff) == round_trinomial(p).truncate(cutoff)
+    assert round_trinomial_sum(L, step, [(b, a, 0)], cutoff) == \
+        round_trinomial(p).truncate(cutoff)
 
 
 @pytest.mark.parametrize("id", ["first_pair", "second_pair", "third_pair"])
