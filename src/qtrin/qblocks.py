@@ -7,11 +7,16 @@ step=6 means base q^3 and so on.
 Arguments of Pochhammer symbols are signed monomials a = sign * q^(exp/2)
 with sign in {-1, 0, +1}; sign 0 encodes a = 0.
 
-Every symbol is built one factor 1 - a q_step^k at a time with
-``LaurentSeries.mul_one_minus`` or ``div_one_minus``.  The infinite ones
-take an optional series ``out`` and multiply or divide it by each factor
-in turn, so a truncated product of several symbols is one series carried
-through all of their factors, never a dense product of two of them.
+The exact symbols and the Gaussian binomials are built one factor
+1 - a q_step^k at a time with ``LaurentSeries.mul_one_minus`` or
+``div_one_minus``, whose exact divisions check their remainders.  The
+truncated symbols (``poch_infinite``, ``inv_poch_infinite`` and
+``inv_poch_series``) hand all of their factors to one
+``series.carry_one_minus`` call, which carries the series through them as
+one packed integer.  The infinite ones take an optional series ``out``
+and multiply or divide it, so a truncated product of several symbols is
+one series carried through all of their factors, never a dense product
+of two of them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .series import LaurentSeries
+from .series import LaurentSeries, carry_one_minus
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,17 @@ Q = MonomialArg(1, 2)          # the variable q itself
 ZERO_ARG = MonomialArg(0, 0)
 
 
+def _check_step(step: int) -> None:
+    if step < 1:
+        raise ValueError("step must be a positive half-exponent")
+
+
 def poch_finite(arg: MonomialArg, step: int, n: int) -> LaurentSeries:
     """(a; q_step)_n = prod_{k=0}^{n-1} (1 - a q_step^k), exact.
 
     Returns the empty product 1 for n = 0.
     """
-    if step < 1:
-        raise ValueError("step must be a positive half-exponent")
+    _check_step(step)
     if n < 0:
         raise ValueError("poch_finite needs n >= 0")
     out = LaurentSeries.one()
@@ -69,39 +78,34 @@ def _reach(out: LaurentSeries) -> Optional[int]:
     return None if out.cutoff is None else out.cutoff - out.min_exp()
 
 
-def _infinite_factors(arg: MonomialArg, step: int, cutoff: int,
-                      out: Optional[LaurentSeries]):
-    """out truncated at cutoff (1 if None), and the exponents of the
+def _infinite_product(arg: MonomialArg, step: int, cutoff: int,
+                      out: Optional[LaurentSeries],
+                      divide: bool) -> LaurentSeries:
+    """out truncated at cutoff (1 if None), times or divided by the
     factors of (a; q_step)_infinity that can reach a term it keeps."""
+    _check_step(step)
     if arg.sign != 0 and arg.exp <= 0:
         raise ValueError("infinite product diverges: argument exponent <= 0")
     out = (LaurentSeries.one() if out is None else out).truncate(cutoff)
-    if arg.sign == 0:
-        return out, ()
-    return out, range(arg.exp, _reach(out) + 1, step)
+    return carry_one_minus(out, arg.sign,
+                           range(arg.exp, _reach(out) + 1, step), divide)
 
 
 def poch_infinite(arg: MonomialArg, step: int, cutoff: int,
                   out: Optional[LaurentSeries] = None) -> LaurentSeries:
-    """out * (a; q_step)_infinity truncated at cutoff (half-units), one
-    factor at a time; out defaults to 1.
+    """out * (a; q_step)_infinity truncated at cutoff (half-units); out
+    defaults to 1.
 
     Formal convergence requires arg.exp > 0 when the argument is nonzero.
     """
-    out, exps = _infinite_factors(arg, step, cutoff, out)
-    for e in exps:
-        out = out.mul_one_minus(arg.sign, e)
-    return out
+    return _infinite_product(arg, step, cutoff, out, False)
 
 
 def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int,
                       out: Optional[LaurentSeries] = None) -> LaurentSeries:
-    """out / (a; q_step)_infinity truncated at cutoff, exact below it, one
-    factor at a time; out defaults to 1."""
-    out, exps = _infinite_factors(arg, step, cutoff, out)
-    for e in exps:
-        out = out.div_one_minus(arg.sign, e)
-    return out
+    """out / (a; q_step)_infinity truncated at cutoff, exact below it; out
+    defaults to 1."""
+    return _infinite_product(arg, step, cutoff, out, True)
 
 
 def _acting(out: LaurentSeries, n: int, step: int) -> range:
@@ -112,19 +116,19 @@ def _acting(out: LaurentSeries, n: int, step: int) -> range:
 
 
 def inv_poch_series(n: int, step: int, cutoff: int) -> LaurentSeries:
-    """Truncated 1/(q_step; q_step)_n, one factor (1 - q_step^k) at a
-    time, stopping at the first that reaches no kept term; the zero
+    """Truncated 1/(q_step; q_step)_n, divided by the factors
+    (1 - q_step^k) up to the first that reaches no kept term; the zero
     series for n < 0.
 
     The n < 0 branch is the convention that makes summands with
     out-of-range indices vanish, so negative n is a value, not an error.
     """
+    _check_step(step)
     if n < 0:
         return LaurentSeries.zero(cutoff)
     out = LaurentSeries.one().truncate(cutoff)
-    for k in _acting(out, n, step):
-        out = out.div_one_minus(1, k * step)
-    return out
+    return carry_one_minus(out, 1, (k * step for k in _acting(out, n, step)),
+                           True)
 
 
 def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,
@@ -158,8 +162,7 @@ def gaussian_binomial(top: int, bottom: int, step: int = 2,
     Zero whenever the pair is out of range (bottom < 0, top < 0 or
     bottom > top), matching the extension used by all the summations here.
     """
-    if step < 1:
-        raise ValueError("step must be a positive half-exponent")
+    _check_step(step)
     if bottom < 0 or top < 0 or bottom > top:
         return LaurentSeries.zero(cutoff)
     if cutoff is None:

@@ -13,8 +13,10 @@ empty list; a single term has stride 0.  The stride need not be the gcd
 of the exponents, so equal series may sit on different grids; equality
 and hashing do not depend on the grid.  Kernels are list operations on
 slices of these grids and build their results without re-filtering; the
-product packs both grids into integers and multiplies those once, and
-``packed_sum`` adds series kept packed, one integer per exponent class.
+product packs both grids into integers and multiplies those once,
+``packed_sum`` adds series kept packed, one integer per exponent class,
+and ``carry_one_minus`` carries a truncated series through a run of
+factors 1 - s q^(e/2) as one packed integer.
 
 A series is either exact (``cutoff is None``) or truncated above an
 inclusive upper bound ``cutoff``, and stores no term above it.  All
@@ -146,14 +148,20 @@ def packed_mul_one_minus(x: int, w: int, d: int) -> int:
 
 
 def packed_div_one_minus(x: int, w: int, d: int, n: int) -> int:
-    """The packed quotient Q of x by 1 - X^d, d >= 1, for an x whose
-    series is a multiple of 1 - q^(d stride/2) with a quotient of n slots
-    that fit two's-complement slots of 64 w bits.  Nothing is checked:
-    the caller has divided that series itself (``div_one_minus`` raises
-    on a remainder).  Then x = Q (1 - X^d) as integers, so
-    x (1 + X^d + ... + X^(d(K-1))) = Q - Q X^(dK), which is Q mod X^n
-    once dK >= n; since |Q| < X^n / 2 that residue picks Q out.  K
-    doubles each step: log2(n / d) shift-adds on n slots."""
+    """The packed quotient Q of x by 1 - X^d, d >= 1, through n slots:
+    the residue x (1 + X^d + ... + X^(d(K-1))) mod X^n, K doubling each
+    step until dK >= n, so log2(n / d) shift-adds on n slots (none when
+    d >= n), read as a signed integer.  Only Q's n slots must fit
+    two's-complement slots of 64 w bits, and nothing is checked.
+
+    - Truncated, for any x: that residue is the quotient of the series
+      by 1 - q^(d stride/2) mod X^n, the prefix sums r[i] = x[i] +
+      r[i - d] of its first n slots; with |Q| < X^n / 2 the residue
+      picks Q out.
+    - Exact, for an x whose series is a multiple with a quotient of n
+      slots: x = Q (1 - X^d) as integers, so the residue is
+      Q - Q X^(dK) mod X^n = Q.  The caller has divided that series
+      itself (``div_one_minus`` raises on a remainder)."""
     bits = 64 * w
     mask = (1 << bits * n) - 1
     x &= mask
@@ -161,6 +169,91 @@ def packed_div_one_minus(x: int, w: int, d: int, n: int) -> int:
         x = (x + (x << bits * d)) & mask
         d *= 2
     return x - mask - 1 if x >> (bits * n - 1) else x
+
+
+# the bits of headroom that a re-measured carry gets for its next steps
+_HEADROOM = 32
+
+
+def _carry_width(b: int) -> int:
+    """The w whose slots hold b bits and _HEADROOM more, with a sign bit
+    to spare."""
+    return (b + _HEADROOM) // 64 + 1
+
+
+def carry_one_minus(s: "LaurentSeries", sign: int, exps,
+                    divide: bool = False) -> "LaurentSeries":
+    """The truncated series s multiplied, or divided when ``divide``, by
+    each factor 1 - sign q^(e/2), e >= 1 in the iterable exps: the same
+    series as that run of ``mul_one_minus`` or ``div_one_minus`` calls,
+    carried as one packed integer.
+
+    The n slots of s through its cutoff, on the grid g = gcd(stride,
+    exps) from its lowest exponent, are packed once in two's-complement
+    slots of 64 w bits, and every step is taken mod X^n: a factor
+    multiplied is one shift-add, a factor divided is
+    ``packed_div_one_minus``, and 1 + X^d divides as (1 - X^d) /
+    (1 - X^(2d)).  A factor with d >= n reaches no slot.  The slots are
+    unpacked once at the end.
+
+    Width invariant: every slot lies below 2^b in absolute value at every
+    step, with b <= 64 w - 1, so below 2^(64 w - 1) and in its word.  A
+    primitive step (a shift-add, or one doubling of the prefix sum) makes
+    each slot the sum or difference of two slots, so it adds 1 to b.
+    Before a factor's steps could take b past 64 w - 1, the slots are
+    unpacked, b is set to the bit length of their real largest |slot|,
+    and they are repacked in the slots of ``_carry_width`` if that w
+    differs.  The width thus follows the coefficients, not a bound on
+    them."""
+    if s.cutoff is None:
+        raise ValueError("carry_one_minus needs a truncated series")
+    if sign == 0 or not s._c:
+        return s
+    exps = list(exps)
+    if not exps:
+        return s
+    if min(exps) < 1:
+        raise ValueError("carry_one_minus needs exponents e >= 1")
+    lo = s._lo
+    g = gcd(s._stride, *exps)
+    n = (s.cutoff - lo) // g + 1
+    c = _spread(s._c, s._stride // g or 1, 0, n)
+    b = s.max_abs_coeff().bit_length()
+    w = _carry_width(b)
+    signs = _sign_bits(w, n)
+    x = _pack(c, w, signs)
+    mask = (1 << 64 * w * n) - 1
+    for e in exps:
+        d = e // g
+        if d >= n:
+            continue
+        # the primitive steps of this factor: its shift-add, and the
+        # doublings of its prefix sum
+        if not divide:
+            steps = 1
+        elif sign == 1:
+            steps = ((n - 1) // d).bit_length()
+        else:
+            steps = 1 + ((n - 1) // (2 * d)).bit_length()
+        if b + steps > 64 * w - 1:
+            c = _unpack(x, n, w, signs)
+            b = max(max(c), -min(c)).bit_length()
+            if _carry_width(b + steps) != w:
+                w = _carry_width(b + steps)
+                signs = _sign_bits(w, n)
+                x = _pack(c, w, signs)
+                mask = (1 << 64 * w * n) - 1
+        b += steps
+        if divide:
+            if sign == -1:
+                # 1 + X^d = (1 - X^d) / (1 - X^(2d))
+                x, d = packed_mul_one_minus(x, w, d), 2 * d
+            x = packed_div_one_minus(x, w, d, n)
+        elif sign == 1:
+            x = packed_mul_one_minus(x, w, d) & mask
+        else:
+            x = (x + (x << 64 * w * d)) & mask
+    return _new(lo, g, _unpack(x, n, w, signs), s.cutoff)
 
 
 def packed_sum(parts, w: int, stride: int,

@@ -2,7 +2,9 @@
 
 These are the kernels ``LaurentSeries`` used before it stored dense
 strided coefficient lists, kept verbatim as an independent reference for
-the property tests in test_series.py.
+the property tests in test_series.py.  ``one_minus_run`` is the
+per-factor loop that the truncated Pochhammer symbols ran before
+``series.carry_one_minus`` carried them as one packed integer.
 """
 
 from __future__ import annotations
@@ -164,3 +166,12 @@ class DictSeries:
             if ca != cb:
                 return (e, ca, cb)
         return None
+
+
+def one_minus_run(s, sign: int, exps, divide: bool = False):
+    """s times, or divided by, each factor 1 - sign q^(e/2), e in exps, one
+    ``mul_one_minus`` or ``div_one_minus`` call at a time: on a
+    LaurentSeries and a DictSeries alike."""
+    for e in exps:
+        s = s.div_one_minus(sign, e) if divide else s.mul_one_minus(sign, e)
+    return s

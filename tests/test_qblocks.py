@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from qtrin import qblocks
 from qtrin.series import LaurentSeries
 from qtrin.qblocks import (MonomialArg, Q, ZERO_ARG, gaussian_binomial,
                            inv_poch_infinite, inv_poch_series, poch_finite,
@@ -19,6 +20,28 @@ def q(k):
 def test_monomial_arg_rejects_sign(sign):
     with pytest.raises(ValueError, match="sign must"):
         MonomialArg(sign, 2)
+
+
+@pytest.mark.parametrize("step", [0, -2])
+@pytest.mark.parametrize("build", [
+    lambda step: poch_infinite(Q, step, 10),
+    lambda step: inv_poch_infinite(Q, step, 10),
+    lambda step: inv_poch_infinite(MonomialArg(-1, 2), step, 10,
+                                   LaurentSeries({0: 1, 3: 2})),
+    lambda step: inv_poch_series(5, step, 10),
+    lambda step: inv_poch_series(-1, step, 10),
+    lambda step: poch_finite(Q, step, 3),
+    lambda step: gaussian_binomial(4, 2, step),
+], ids=["poch_infinite", "inv_poch_infinite", "inv_poch_infinite_out",
+        "inv_poch_series", "inv_poch_series_negative_n", "poch_finite",
+        "gaussian_binomial"])
+def test_step_must_be_positive(build, step):
+    # with no check, a step of -2 makes the infinite symbols 1 + O(q^5),
+    # with no factor, and a step of 0 raises ZeroDivisionError or
+    # range()'s ValueError
+    with pytest.raises(ValueError,
+                       match="step must be a positive half-exponent"):
+        build(step)
 
 
 class TestPochFinite:
@@ -146,17 +169,25 @@ class TestInvPochSeries:
             {0: 1, q(1): 1, q(2): 2, q(3): 2}
 
     def test_factors_past_the_cutoff_are_not_applied(self, monkeypatch):
-        # no factor 1 - q^k with k > 10 reaches a term kept through q^10
+        # no factor 1 - q^k with k > 10 reaches a term kept through q^10:
+        # inv_poch_series hands the packed carry only the factors that do
         want = inv_poch_series(10, 2, 20)
         calls = []
+        carry = qblocks.carry_one_minus
+
+        def counted(s, sign, exps, divide=False):
+            exps = list(exps)
+            calls.extend(exps)
+            return carry(s, sign, exps, divide)
+        monkeypatch.setattr(qblocks, "carry_one_minus", counted)
+        assert inv_poch_series(10_000, 2, 20) == want
+        assert 0 < len(calls) <= 11
+        # [N, K] = 1/(q;q)_10 + O(q^11) once K and N - K pass 10
+        calls.clear()
         kernel = LaurentSeries.div_one_minus
         monkeypatch.setattr(LaurentSeries, "div_one_minus",
                             lambda s, sign, exp: calls.append(exp)
                             or kernel(s, sign, exp))
-        assert inv_poch_series(10_000, 2, 20) == want
-        assert len(calls) <= 11
-        # [N, K] = 1/(q;q)_10 + O(q^11) once K and N - K pass 10
-        calls.clear()
         assert gaussian_binomial(10_000, 5_000, 2, 20) == want
         assert len(calls) <= 11
 

@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qtrin import identities
-from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
-                          pack_series, packed_div_one_minus,
+from qtrin import identities, series
+from qtrin.series import (LaurentSeries, TrivariateSeries, carry_one_minus,
+                          exact_divide, pack_series, packed_div_one_minus,
                           packed_mul_one_minus, packed_sum, slot_words,
                           unpack_series)
 
-from dict_series import DictSeries
+from dict_series import DictSeries, one_minus_run
 
 
 def S(terms, cutoff=None):
@@ -689,6 +689,107 @@ class TestPackedSum:
             one.scale_coeffs(k)
         with pytest.raises(OverflowError):
             identities._ratio3_sum(40, -1, *[e] * (k + 1))
+
+
+@st.composite
+def carry_outs(draw):
+    """A truncated series for carry_one_minus: Laurent (its lowest
+    exponent down to -40), a single term (stride 0) or up to 40 slots of
+    stride 1, 2, 3 or 6, with small coefficients or ones of 63 to 130
+    bits, so that the first pack may already take two or three words;
+    cut at 0..900."""
+    stride = draw(st.sampled_from([0, 1, 2, 3, 6]))
+    offset = draw(st.integers(-40, 20))
+    big = st.integers(2 ** 63 - 3, 2 ** 130).map(
+        lambda v: v if v % 2 else -v)
+    coeffs = draw(st.lists(st.one_of(st.integers(-9, 9), big),
+                           max_size=40 if stride else 1))
+    terms = {offset + stride * k: c for k, c in enumerate(coeffs)}
+    return LaurentSeries(terms, draw(st.integers(0, 900)))
+
+
+# the exponents of a run of factors: a few anywhere up to 1100 half-units,
+# past the slots of most outs, many small ones, whose coefficients grow
+# fastest, or a long run start, start + step, ...
+carry_exps = st.one_of(
+    st.lists(st.integers(1, 1100), max_size=12),
+    st.lists(st.integers(1, 4), max_size=80),
+    st.builds(lambda a, step, k: list(range(a, a + step * k, step)),
+              st.integers(1, 12), st.integers(1, 12), st.integers(0, 120)))
+
+
+def partition_counts(n):
+    """p(0), ..., p(n) by Euler's pentagonal recurrence."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        k, total = 1, 0
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p[m] = total
+    return p
+
+
+class TestCarryOneMinus:
+    """The packed carry of the truncated Pochhammer symbols against the
+    per-factor loop it replaced, and its width re-measured mid-chain."""
+
+    @given(carry_outs(), st.sampled_from([-1, 1]), carry_exps,
+           st.booleans())
+    # a 64-bit coefficient: the first pack already takes two-word slots
+    @example(S({-3: 2 ** 63, 0: -1}, 40), 1, [1, 2, 3], True)
+    # only factors past the n = 11 slots
+    @example(S({0: 5, 2: -1}, 10), -1, [11, 40, 1100], False)
+    # (1 + q^(1/2))^70 and 1/(1 - q^(1/2))^10 through q^450: coefficients
+    # past 2^64, so the slots widen as they grow
+    @example(S({0: 1}, 900), -1, [1] * 70, False)
+    @example(S({0: 1}, 900), 1, [1] * 10, True)
+    # a single term on a grid of 6 carried by factors of 1 and 4
+    @example(S({-6: 7}, 900), 1, list(range(1, 481, 4)), True)
+    def test_matches_per_factor_loop(self, out, sign, exps, divide):
+        same(carry_one_minus(out, sign, exps, divide),
+             one_minus_run(out, sign, exps, divide))
+
+    @given(carry_outs(), st.sampled_from([-1, 1]), st.booleans())
+    def test_matches_dict_reference(self, out, sign, divide):
+        exps = [1, 2, 5, 9, 30]
+        want = one_minus_run(DictSeries(out.terms, out.cutoff), sign, exps,
+                             divide)
+        same(carry_one_minus(out, sign, exps, divide), want)
+
+    @pytest.mark.parametrize("cutoff", [812, 813, 1000])
+    def test_widened_mid_chain(self, cutoff, monkeypatch):
+        # 1/(q;q)_inf: its coefficient p(n) first reaches 2^63 at n = 406,
+        # so one-word slots of the first pack must widen before then
+        widths = []
+        pack = series._pack
+        monkeypatch.setattr(series, "_pack", lambda c, w, signs:
+                            widths.append(w) or pack(c, w, signs))
+        one = LaurentSeries.one().truncate(cutoff)
+        exps = range(2, cutoff + 1, 2)
+        got = carry_one_minus(one, 1, exps, True)
+        p = partition_counts(cutoff // 2)
+        assert p[406] >= 2 ** 63 > p[405]
+        same(got, DictSeries({2 * m: v for m, v in enumerate(p)}, cutoff))
+        same(got, one_minus_run(one, 1, exps, True))
+        assert widths[0] == 1 and max(widths) >= 2
+
+    def test_zero_and_empty_runs_are_returned(self):
+        zero, s = LaurentSeries.zero(5), S({0: 1, 3: 2}, 9)
+        assert carry_one_minus(zero, 1, [1, 2]) is zero
+        assert carry_one_minus(s, 1, [], True) is s
+        # sign 0 is the argument a = 0, whose exponent may be 0
+        assert carry_one_minus(s, 0, [0, 2]) is s
+
+    def test_rejects_exact_series_and_exponents_below_one(self):
+        with pytest.raises(ValueError, match="truncated"):
+            carry_one_minus(S({0: 1}), 1, [2])
+        for exps in ([0], [3, -2]):
+            with pytest.raises(ValueError, match="e >= 1"):
+                carry_one_minus(S({0: 1}, 9), 1, exps, True)
 
 
 class TestSum:
