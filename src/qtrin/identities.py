@@ -23,12 +23,14 @@ from typing import Callable, Optional, Union
 from . import qblocks, trinomials
 from .series import (LaurentSeries, TrivariateSeries, pack_series,
                      packed_div_one_minus, packed_mul_one_minus, packed_sum,
-                     slot_words, unpack_series)
-from .qblocks import (MonomialArg, gaussian_binomial, inv_poch_infinite,
-                      inv_poch_series, poch_infinite, q_poch)
+                     repack, slot_words, unpack_series)
+from .qblocks import (MonomialArg, gaussian_binomial, gaussian_peak,
+                      gaussian_sum, inv_poch_infinite, inv_poch_series,
+                      packed_gaussian, poch_infinite, q_poch)
 from .trinomials import (RefinedTParams, TParams, TrinomialParams,
-                         _half_units, refined_trinomial, round_trinomial,
-                         round_trinomial_sum, t_trinomial, t_trinomial_sum)
+                         _half_units, packed_t, refined_terms,
+                         round_trinomial, round_trinomial_sum, t_trinomial,
+                         t_trinomial_sum)
 
 Side = Union[LaurentSeries, TrivariateSeries]
 
@@ -130,7 +132,7 @@ def _ratio3(L: int) -> tuple[int, int, tuple[int, ...]]:
     packed = [x]
     for (a, b, d), n in zip(_ratio3_steps(L), slots[1:]):
         x = packed_mul_one_minus(packed_mul_one_minus(x, w, a), w, b)
-        x = packed_div_one_minus(x, w, d, n)
+        x = packed_div_one_minus(x, w, d, (1 << 64 * w * n) - 1)
         packed.append(x)
     return w, h, tuple(packed)
 
@@ -159,10 +161,12 @@ def _ratio4(M: int, *exps: Callable[[int, int], int]) -> LaurentSeries:
 
 # The lru_caches of the exact path, held as the cached callables
 # themselves so that rebinding a module attribute cannot hide them.
-# _ratio3 holds the one quotient table per L; _ratio4 holds no table,
-# only the folded sums, one per (M, exps).
+# packed_gaussian holds the packed binomials of the Gaussian sums, one
+# per slot width and spread; _ratio3 holds the one quotient table per L;
+# _ratio4 holds no table, only the folded sums, one per (M, exps).
 _CACHES = {"q_poch": qblocks.q_poch,
            "_gaussian_base": qblocks._gaussian_base,
+           "packed_gaussian": qblocks.packed_gaussian,
            "_round_trinomial": trinomials._round_trinomial,
            "_ratio3": _ratio3, "_ratio4": _ratio4}
 
@@ -251,23 +255,14 @@ def _ratio3_sum(L: int, sign: int, *exps: Callable[[int], int]
                       w, 2, signed=True)
 
 
-def _mn_sum(M: int, term: Callable[[int, int], LaurentSeries],
-            *exps: Callable[[int, int], int]) -> LaurentSeries:
-    """sum over m, n >= 0 with m + 2n <= M of term(m, n) q^(e(m, n)/2),
-    one term for each exponent e in ``exps`` (half-units)."""
-    terms = (((m, n), term(m, n)) for n in range(M // 2 + 1)
-             for m in range(M - 2 * n + 1))
-    return LaurentSeries.sum(t.shift(e(m, n)) for (m, n), t in terms
-                             for e in exps)
-
-
-def _fincap_term(N: int, k: int) -> Callable[[int, int], LaurentSeries]:
-    """(m, n) -> [3d+k, m] [2d+n+k/2, n]_{q^3}, d = N - 2n - m."""
-    def term(m, n):
-        d = N - 2 * n - m
-        return gaussian_binomial(3 * d + k, m) * \
-            gaussian_binomial(2 * d + n + k // 2, n, 6)
-    return term
+def _fincap_terms(N: int, k: int, e: Callable[[int, int], int]):
+    """The terms of sum over m, n >= 0 with m + 2n <= N of
+    [3d+k, m] [2d+n+k/2, n]_{q^3} q^(e(m, n)/2), d = N - 2n - m, for
+    ``gaussian_sum``."""
+    for n in range(N // 2 + 1):
+        for m in range(N - 2 * n + 1):
+            d = N - 2 * n - m
+            yield 1, e(m, n), ((3 * d + k, m, 2), (2 * d + n + k // 2, n, 6))
 
 
 def _first_pair_lhs(p, c):
@@ -381,9 +376,8 @@ def _thm71_lhs(p, c):
 
 def _thm71_rhs(p, c):
     M = p["M"]
-    return LaurentSeries.sum(
-        gaussian_binomial(2 * M, M + j, 6).shift(2 * (3 * j * j + j))
-        for j in range(-M, M + 1))
+    return gaussian_sum((1, 2 * (3 * j * j + j), ((2 * M, M + j, 6),))
+                        for j in range(-M, M + 1))
 
 
 def _thm72_lhs(p, c):
@@ -394,9 +388,9 @@ def _thm72_lhs(p, c):
 
 def _thm72_rhs(p, c):
     M = p["M"]
-    bs = ((j, gaussian_binomial(2 * M, M + j, 6)) for j in range(-M, M + 1))
-    return LaurentSeries.sum(b.shift(2 * e) for j, b in bs
-                             for e in (3 * j * j - 2 * j, 3 * j * j + j))
+    return gaussian_sum((1, 2 * e, ((2 * M, M + j, 6),))
+                        for j in range(-M, M + 1)
+                        for e in (3 * j * j - 2 * j, 3 * j * j + j))
 
 
 def _fincap2m_lhs(p, c):
@@ -405,14 +399,12 @@ def _fincap2m_lhs(p, c):
 
 def _fincap2m_rhs(p, c):
     M = p["M"]
-    return LaurentSeries.sum(
-        gaussian_binomial(2 * M + 1, M - j, 6).shift(2 * (3 * j * j + 2 * j))
-        for j in range(-M - 1, M + 1))
+    return gaussian_sum((1, 2 * (3 * j * j + 2 * j), ((2 * M + 1, M - j, 6),))
+                        for j in range(-M - 1, M + 1))
 
 
 def _fincap1n_lhs(p, c):
-    N = p["N"]
-    return _mn_sum(N, _fincap_term(N, 0), _kr1_exp)
+    return gaussian_sum(_fincap_terms(p["N"], 0, _kr1_exp))
 
 
 def _fincap_rhs(N: int, k: int, a: int, b: int) -> LaurentSeries:
@@ -436,8 +428,8 @@ def _fincap1n_rhs(p, c):
 
 def _fincap2n_lhs(p, c):
     N = p["N"]
-    return _mn_sum(N, _fincap_term(N, 2), _cap2_exp_a) + \
-        _mn_sum(N, _fincap_term(N, 0), _cap2_exp_b)
+    return gaussian_sum([*_fincap_terms(N, 2, _cap2_exp_a),
+                         *_fincap_terms(N, 0, _cap2_exp_b)])
 
 
 def _fincap2n_rhs(p, c):
@@ -534,19 +526,26 @@ def _poch_reversal_rhs(p, c):
     return q_poch(n, 2).shift(-n * (n + 1)).scale_coeffs((-1) ** n)
 
 
+def _outlook1_terms(L: int, M: int):
+    """The terms of sum_m [3M, m] [2M + (L-m)/2, 2M]_{q^3} q^(m^2/2) over
+    0 <= m <= 3M with L - m even, for ``gaussian_sum``."""
+    for m in range(L % 2, 3 * M + 1, 2):
+        yield 1, m * m, ((3 * M, m, 2), (2 * M + (L - m) // 2, 2 * M, 6))
+
+
 def _outlook1_lhs(p, c):
-    L, M = p["L"], p["M"]
-    return LaurentSeries.sum(
-        (gaussian_binomial(3 * M, m) *
-         gaussian_binomial(2 * M + (L - m) // 2, 2 * M, 6)).shift(m * m)
-        for m in range(L % 2, 3 * M + 1, 2))             # L - m even
+    return gaussian_sum(_outlook1_terms(p["L"], p["M"]))
 
 
 def _outlook1_rhs(p, c):
     L, M = p["L"], p["M"]
-    return LaurentSeries.sum(
-        refined_trinomial(RefinedTParams(L, M, j, j, step=6)).shift(
-            3 * j * j + 2 * j) for j in range(-L - M - 1, L + M + 2))
+    # sum_j cal-T(L, M; j, j; q^3) q^((3j^2+2j)/2) in one sum; the terms
+    # of cal-T are 0 past |j| = min(L, M)
+    top = min(L, M)
+    return gaussian_sum(
+        (k, 3 * j * j + 2 * j + e, factors)
+        for j in range(-top, top + 1)
+        for k, e, factors in refined_terms(RefinedTParams(L, M, j, j, 6)))
 
 
 def _hierarchy_tuples(nu: int, L: int):
@@ -575,17 +574,17 @@ def _hierarchy_lhs(p, c):
         for Ns in _hierarchy_tuples(nu, L):
             ns = [N - M for N, M in zip(Ns, Ns[1:] + (0,))]
             heads = list(accumulate(Ns))            # N_1 + ... + N_j
+            squares = sum(N * N for N in Ns)
             # the sum over m is outlook1's LHS at (i - heads[-1], n_nu);
             # below i = heads[-1] each of its top indices is below 2 n_nu,
             # so it is zero, and from there on no factor is zero
             for i in range(heads[-1], L - Ns[0] + 1):
-                term = _outlook1_lhs({"L": i - heads[-1], "M": ns[-1]},
-                                     None) * \
-                    gaussian_binomial(L - Ns[0], i, 6)
-                for n, head in zip(ns, heads[:-1]):
-                    term = term * gaussian_binomial(i - head + n, n, 6)
-                yield term.shift(3 * (i * i + sum(N * N for N in Ns)))
-    return LaurentSeries.sum(terms())
+                yield (1, 3 * (i * i + squares),
+                       ((L - Ns[0], i, 6),
+                        *((i - head + n, n, 6)
+                          for n, head in zip(ns, heads[:-1]))),
+                       _outlook1_terms(i - heads[-1], ns[-1]))
+    return gaussian_sum(terms())
 
 
 def _hierarchy_rhs(p, c):
@@ -878,23 +877,67 @@ _BAILEY_KINDS = {0: ((0,), (0,)), 1: ((0,), (1, -1)), -1: ((0, 1), (-1,))}
 
 def _bailey_lhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
                 step: int) -> LaurentSeries:
+    """sum_i Q^{i(i-kind)/2} [L, i] sum_a alpha(a) sum_o T_kind(i, a + o)
+    as one packed sum, with no T_kind series built.  T_kind(i, b) is
+    q^(e/2) R(1/q) for the packed entry R of row i that ``packed_t``
+    gives, and [L, i] is its own reversal up to Q^{i(L-i)}, so each
+    (i, a) adds a monomial times ([L, i] S)(1/q), S the entries R of its
+    offsets o aligned and added, times each coefficient of alpha(a): the
+    LHS is the reversal of one ``packed_sum`` of these products.
+
+    Distinct entries of row i add up to at most 3^i at q = 1, so a slot
+    of [L, i] S is below the middle coefficient of [L, i] times 3^i.
+    That bound sets the slots of the product, into which S is repacked
+    from the slots of its row, and the sum over the products of |c|
+    times it sets the slots of the sum, into which the product is
+    repacked.  A truncated alpha(a) cuts the LHS where __mul__ would: at
+    its cutoff plus the lowest exponent of each T_kind(i, a + o) it
+    multiplies, shifted."""
     offsets = _BAILEY_KINDS[kind][0]
-
-    def F(i):
-        # T_kind(i, b) = 0 for |b| > i, so only the offsets that land in
-        # [-i, i] add to F(i)
-        return LaurentSeries.sum(
-            coeff * t_trinomial(TParams(kind, i, a + o, step))
-            for a, coeff in alpha.items() for o in offsets if abs(a + o) <= i)
-
-    def terms():
-        for i in range(L + 1):
-            f = F(i)
-            # an exact zero F(i) adds nothing, so [L, i] is not built
-            if not f.is_zero() or not f.is_exact:
-                yield (gaussian_binomial(L, i, step) * f).shift(
-                    _half_units(i * (i - kind), step))
-    lhs = LaurentSeries.sum(terms())
+    monomials = {a: list(coeff.terms.items()) for a, coeff in alpha.items()}
+    products, cuts, bound, signed = [], [], 0, False
+    # T_kind(i, b) = 0 for |b| > i
+    low = min((abs(a + o) for a in alpha for o in offsets), default=L + 1)
+    for i in range(low, L + 1):
+        sh = _half_units(i * (i - kind), step)
+        most = gaussian_peak(L, i) * 3 ** i      # bounds [L, i] s
+        v = slot_words(most)
+        for a, coeff in alpha.items():
+            # s holds the entries of the offsets, each shifted so that
+            # slot m of [L, i] s stands for q^((top - step m)/2); only
+            # kind -1 has two, and T_-1(i, b) is a polynomial in Q, so
+            # their e differ by a multiple of step
+            s = None
+            for o in offsets:
+                if abs(a + o) > i:
+                    continue
+                x, u, e = packed_t(kind, i, a + o, step)
+                if coeff.cutoff is not None:
+                    # the lowest exponent of T_kind(i, a + o) is e - step n,
+                    # n the top slot of its entry
+                    cuts.append(coeff.cutoff + sh + e
+                                - step * ((x.bit_length() - 1) // (64 * u)))
+                x = repack(x, u, v)
+                if s is None:
+                    s, top = x, e
+                elif e <= top:
+                    s += x << 64 * v * ((top - e) // step)
+                else:
+                    s, top = x + (s << 64 * v * ((e - top) // step)), e
+            if s is None or not monomials[a]:
+                continue
+            p = packed_gaussian(L, min(i, L - i), v, 1) * s
+            top += sh + step * i * (L - i)
+            for ec, c in monomials[a]:
+                bound += abs(c) * most
+                signed |= c < 0
+                products.append((c, p, v, ec + top))
+    w = slot_words(bound)
+    lhs = packed_sum(((c * repack(p, v, w), -e, False)
+                      for c, p, v, e in products), w, step, signed) \
+        .reverse_exponents()
+    if cuts:
+        lhs = lhs.truncate(min(cuts))
     if kind == 1:
         lhs = lhs + lhs.shift(L * step)
     return lhs
@@ -902,18 +945,25 @@ def _bailey_lhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
 
 def _bailey_rhs(kind: int, alpha: dict[int, LaurentSeries], L: int,
                 step: int) -> LaurentSeries:
-    parts = []
+    """sum_a alpha(a) sum_s Q^{a(a-s)/2} [2L + (kind = -1), L - a], one
+    ``gaussian_sum`` over the monomials of each alpha(a); a truncated
+    alpha(a) cuts it where its product is known."""
+    terms, cuts = [], []
     for a, coeff in alpha.items():
         # [2L + (kind = -1), L - a] is zero outside this range of a
         if not -L - (kind == -1) <= a <= L:
             continue
         # exponent on the alpha side carries the support variable a,
         # not the bound summation index
-        b = gaussian_binomial(2 * L + (kind == -1), L - a, step)
-        parts.append(coeff * LaurentSeries.sum(
-            b.shift(_half_units(a * (a - s), step))
-            for s in _BAILEY_KINDS[kind][1]))
-    return LaurentSeries.sum(parts)
+        exps = [_half_units(a * (a - s), step)
+                for s in _BAILEY_KINDS[kind][1]]
+        if coeff.cutoff is not None:
+            cuts.append(coeff.cutoff + min(exps))
+        factor = ((2 * L + (kind == -1), L - a, step),)
+        terms += ((k, ec + e, factor) for ec, k in coeff.terms.items()
+                  for e in exps)
+    rhs = gaussian_sum(terms)
+    return rhs.truncate(min(cuts)) if cuts else rhs
 
 
 def bailey_sides(kind: int, alpha: dict[int, LaurentSeries], L: int,

@@ -17,15 +17,27 @@ one packed integer.  The infinite ones take an optional series ``out``
 and multiply or divide it, so a truncated product of several symbols is
 one series carried through all of their factors, never a dense product
 of two of them.
+
+An exact sum of products of Gaussian binomials is one ``gaussian_sum``:
+each binomial is packed once per slot width and spread
+(``packed_gaussian``, cached), each term is one product of integers, and
+``series.packed_sum`` adds the products and unpacks each exponent class
+once.  The slot widths come from a bound on the slots taken before
+anything is packed: the coefficients are non-negative, so a product's
+slots are at most one factor's middle coefficient (``gaussian_peak``)
+times the values of the others at q = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import comb, gcd, prod
+from operator import mul
 from typing import Optional
 
-from .series import LaurentSeries, carry_one_minus
+from .series import (LaurentSeries, carry_one_minus, pack_series,
+                     packed_sum, repack, slot_words)
 
 
 @dataclass(frozen=True)
@@ -170,3 +182,115 @@ def gaussian_binomial(top: int, bottom: int, step: int = 2,
             .scale_exponents(step)
     return _gaussian_loop(LaurentSeries.one().truncate(cutoff), top, bottom,
                           step)
+
+
+def gaussian_peak(top: int, bottom: int) -> int:
+    """The largest coefficient of [top, bottom], 0 <= bottom <= top, in any
+    base: its middle one, since the list is symmetric and unimodal."""
+    k = min(bottom, top - bottom)
+    return _gaussian_base(top, k).coeff_at(k * (top - k) // 2)
+
+
+@lru_cache(maxsize=None)
+def packed_gaussian(top: int, k: int, w: int, r: int) -> int:
+    """[top, k], k <= top - k, as the packed integer sum c_i X^(r i),
+    X = 2^(64 w), for [top, k] = sum c_i Q^i in its base Q: spread r-fold
+    when it sits on a grid r times finer than its base (a base-q^3
+    binomial on the q grid takes r = 3), cached per (top, k, w, r).  It
+    is packed from ``_gaussian_base`` by ``pack_series``, so every
+    coefficient must be below X / 2 (``slot_words``); none is negative,
+    so its slots read as unsigned too."""
+    return pack_series(_gaussian_base(top, k).scale_exponents(r), w, 1)
+
+
+def _factor_bounds(factors):
+    """The factors as (top, k, step), k = min(bottom, top - bottom), the
+    least bound on a slot of their product, its value at q = 1 and the
+    gcd of their steps; None when a factor is out of range, so that the
+    product is 0.
+
+    Every factor has non-negative coefficients, so a slot of the product
+    is at most the largest coefficient of one factor (``gaussian_peak``)
+    times the values at q = 1 of the others, binomial coefficients; the
+    least bound takes the factor whose peak is least relative to its
+    value."""
+    ks, whole, bp, bv, g = [], 1, 0, 0, 0
+    for top, bottom, step in factors:
+        _check_step(step)
+        k = min(bottom, top - bottom)
+        if k < 0:
+            return None
+        v, p = comb(top, k), gaussian_peak(top, k)
+        if not bv or p * bv < bp * v:
+            bp, bv = p, v
+        whole *= v
+        g = gcd(g, step)
+        ks.append((top, k, step))
+    return ks, whole // bv * bp if bv else 1, whole, g
+
+
+def gaussian_sum(terms) -> LaurentSeries:
+    """The exact sum of c q^(e/2) prod [top, bottom]_{q_step} over the
+    (c, e, factors) in ``terms`` (any iterable), each factor a (top,
+    bottom, step) triple; a term with a factor out of range is 0, as in
+    ``gaussian_binomial``.  A term (c, e, factors, inner) is also
+    multiplied by the sum of the terms in ``inner``, whose coefficients
+    must be positive and whose exponents must share one class mod g.
+
+    It is one packed sum on the grid of g, the gcd of the steps.  Each
+    term is one product of integers, of the ``packed_gaussian`` of its
+    factors, spread step / g-fold, and of its inner sum, added as one
+    integer; ``packed_sum`` adds the products, times c, one integer per
+    class of e mod g, and unpacks each class once.  The bound of
+    ``_factor_bounds``, with an inner sum the lesser of its bounds times
+    the value of the factors and its value times their bound, sets the
+    slots a term's product is taken in.  The sum over the terms of |c|
+    times it sets the slots of 64 w bits of the sum, into which a
+    narrower product is repacked.  Both are taken before anything is
+    packed."""
+    kept, bound, g, signed = [], 0, 0, False
+    for c, e, factors, *inner in terms:
+        outer = _factor_bounds(factors)
+        if not c or outer is None:
+            continue
+        ks, term, whole, gk = outer
+        g = gcd(g, gk)
+        inside = None
+        if inner:
+            inside, most, value = [], 0, 0
+            for c2, e2, factors2 in inner[0]:
+                if c2 < 1:
+                    raise ValueError("inner coefficients must be positive")
+                t = _factor_bounds(factors2)
+                if t is not None:
+                    inside.append((c2, e2, t[0]))
+                    most, value = most + c2 * t[1], value + c2 * t[2]
+                    g = gcd(g, t[3])
+            if not inside:
+                continue
+            term = min(most * whole, value * term)
+        bound += abs(c) * term
+        signed |= c < 0
+        kept.append((c, e, ks, inside, slot_words(term)))
+    if not kept:
+        return LaurentSeries.zero()
+    w, g = slot_words(bound), g or 1
+
+    def products():
+        # one product per term, made as packed_sum reads it; reduce takes
+        # a lone factor as it is, so no cached binomial is copied
+        for c, e, ks, inside, v in kept:
+            xs = [packed_gaussian(top, k, v, step // g) for top, k, step in ks]
+            if inside:
+                low, x = min(e2 for c2, e2, ks2 in inside), 0
+                for c2, e2, ks2 in inside:
+                    if (e2 - low) % g:
+                        raise ValueError("inner exponents must share a class")
+                    x += c2 * prod(packed_gaussian(top, k, v, step // g)
+                                   for top, k, step in ks2) \
+                        << 64 * v * ((e2 - low) // g)
+                xs.append(x)
+                e += low
+            x = repack(reduce(mul, xs) if xs else 1, v, w)
+            yield (x if abs(c) == 1 else abs(c) * x), e, c < 0
+    return packed_sum(products(), w, g, signed)

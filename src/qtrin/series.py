@@ -15,6 +15,7 @@ and hashing do not depend on the grid.  Kernels are list operations on
 slices of these grids and build their results without re-filtering; the
 product packs both grids into integers and multiplies those once,
 ``packed_sum`` adds series kept packed, one integer per exponent class,
+``repack`` widens the unsigned slots of a packed series word by word,
 and ``carry_one_minus`` carries a truncated series through a run of
 factors 1 - s q^(e/2) as one packed integer.
 
@@ -103,10 +104,11 @@ def _pack(c: list, w: int, signs: int) -> int:
 def _unpack(x: int, n: int, w: int, signs: int) -> list:
     """The first n slots of x = sum c[i] X^i: adding X / 2 to each makes it
     non-negative, so none borrows from the next, and the XOR turns each
-    back into its word.  With signs = 0 no slot is negative, and each
-    reads as unsigned, up to X - 1."""
-    v = ((x + signs) ^ signs) & ((1 << 64 * w * n) - 1)
-    words = memoryview(v.to_bytes(8 * w * n, "little"))
+    back into its word.  With signs = 0 no slot is negative, x is read as
+    it is and must fit n slots, and each reads as unsigned, up to X - 1."""
+    if signs:
+        x = ((x + signs) ^ signs) & ((1 << 64 * w * n) - 1)
+    words = memoryview(x.to_bytes(8 * w * n, "little"))
     c = words.cast("q" if signs else "Q")[w - 1::w].tolist()
     low = words.cast("Q")       # the words below a slot's top are unsigned
     for j in range(w - 2, -1, -1):
@@ -141,18 +143,34 @@ def unpack_series(x: int, w: int, lo: int, stride: int = 1,
                 _unpack(x, n, w, _sign_bits(w, n) if signed else 0), None)
 
 
+def repack(x: int, w: int, v: int) -> int:
+    """The packed integer x >= 0 of unsigned slots of 64 w bits, in slots
+    of 64 v bits, v >= w: its words are copied into the low words of the
+    wider slots, so no slot is read as an int."""
+    if v == w:
+        return x
+    n = x.bit_length() // (64 * w) + 1
+    src = memoryview(x.to_bytes(8 * w * n, "little")).cast("Q")
+    out = bytearray(8 * v * n)
+    dst = memoryview(out).cast("Q")
+    for j in range(w):
+        dst[j::v] = src[j::w]
+    return int.from_bytes(out, "little")
+
+
 def packed_mul_one_minus(x: int, w: int, d: int) -> int:
     """x (1 - X^d): a packed series times 1 - q^(d stride/2) on its grid
     of slots.  Each slot of it is the difference of two slots of x."""
     return x - (x << 64 * w * d)
 
 
-def packed_div_one_minus(x: int, w: int, d: int, n: int) -> int:
-    """The packed quotient Q of x by 1 - X^d, d >= 1, through n slots:
-    the residue x (1 + X^d + ... + X^(d(K-1))) mod X^n, K doubling each
-    step until dK >= n, so log2(n / d) shift-adds on n slots (none when
-    d >= n), read as a signed integer.  Only Q's n slots must fit
-    two's-complement slots of 64 w bits, and nothing is checked.
+def packed_div_one_minus(x: int, w: int, d: int, mask: int) -> int:
+    """The packed quotient Q of x by 1 - X^d, d >= 1, through the n slots
+    of mask = X^n - 1, which the caller holds: the residue
+    x (1 + X^d + ... + X^(d(K-1))) mod X^n, K doubling each step until
+    dK >= n, so log2(n / d) shift-adds on n slots (none when d >= n),
+    read as a signed integer.  Only Q's n slots must fit two's-complement
+    slots of 64 w bits, and nothing is checked.
 
     - Truncated, for any x: that residue is the quotient of the series
       by 1 - q^(d stride/2) mod X^n, the prefix sums r[i] = x[i] +
@@ -162,13 +180,12 @@ def packed_div_one_minus(x: int, w: int, d: int, n: int) -> int:
       slots: x = Q (1 - X^d) as integers, so the residue is
       Q - Q X^(dK) mod X^n = Q.  The caller has divided that series
       itself (``div_one_minus`` raises on a remainder)."""
-    bits = 64 * w
-    mask = (1 << bits * n) - 1
+    bits, top = 64 * w, mask.bit_length()
     x &= mask
-    while d < n:
+    while bits * d < top:
         x = (x + (x << bits * d)) & mask
         d *= 2
-    return x - mask - 1 if x >> (bits * n - 1) else x
+    return x - mask - 1 if x >> (top - 1) else x
 
 
 # the bits of headroom that a re-measured carry gets for its next steps
@@ -248,7 +265,7 @@ def carry_one_minus(s: "LaurentSeries", sign: int, exps,
             if sign == -1:
                 # 1 + X^d = (1 - X^d) / (1 - X^(2d))
                 x, d = packed_mul_one_minus(x, w, d), 2 * d
-            x = packed_div_one_minus(x, w, d, n)
+            x = packed_div_one_minus(x, w, d, mask)
         elif sign == 1:
             x = packed_mul_one_minus(x, w, d) & mask
         else:
@@ -267,19 +284,25 @@ def packed_sum(parts, w: int, stride: int,
     (``unpack_series``): the classes then interleave in one
     LaurentSeries.sum.  Slots are two's complement when signed, else
     unsigned; the caller bounds every slot of a class sum to fit them."""
-    at = [(e % stride, e // stride, x, minus) for x, e, minus in parts]
-    if not at:
-        return LaurentSeries.zero()
-    # slot i of the class r sum stands for q^((r + (base + i) stride)/2)
-    base = min(k for r, k, x, minus in at)
+    # class r maps to (k, s): slot i of s stands for q^((r + (k + i)
+    # stride)/2), k the lowest class index among its parts so far
     sums: dict = {}
-    for r, k, x, minus in at:
-        x <<= 64 * w * (k - base)
-        s = sums.get(r, 0)
-        sums[r] = s - x if minus else s + x
-    return LaurentSeries.sum(
-        unpack_series(x, w, base * stride + r, stride, signed)
-        for r, x in sums.items())
+    bits = 64 * w
+    for x, e, minus in parts:
+        k, r = divmod(e, stride)
+        if minus:
+            x = -x
+        if r not in sums:
+            sums[r] = k, x
+            continue
+        base, s = sums[r]
+        sums[r] = (base, s + (x << bits * (k - base))) if k >= base \
+            else (k, (s << bits * (base - k)) + x)
+    classes = [unpack_series(x, w, k * stride + r, stride, signed)
+               for r, (k, x) in sums.items()]
+    if len(classes) == 1:
+        return classes[0]
+    return LaurentSeries.sum(classes)
 
 
 def _place(parts, cut: Optional[int]) -> "LaurentSeries":

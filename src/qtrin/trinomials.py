@@ -33,7 +33,10 @@ that could pass them raises OverflowError.  The pair, dual and hierarchy
 sides stay within 2 * 3^L, which fits, since 3^L < 2^(64 w - 1).  The
 rule only adds shifted entries, so there is no division and no remainder
 check: correctness rests on the tests against sums of products of
-Gaussian binomials.  T_n values and sums are these, reversed.
+Gaussian binomials.  T_n values and sums are these, reversed, and
+``packed_t`` hands the packed entry of a T_n value, with the exponent it
+stands at, to sums that multiply it (the Bailey LHS).  The refined family
+is one ``qblocks.gaussian_sum`` of its ``refined_terms``.
 
 Below a cutoff the sum reads one cut row, stepped the same way through
 only the slots that its terms reach, and truncates the result.
@@ -45,7 +48,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .series import LaurentSeries, packed_sum, slot_words, unpack_series
-from .qblocks import gaussian_binomial
+from .qblocks import gaussian_sum
 
 
 @dataclass(frozen=True)
@@ -291,6 +294,16 @@ def t_trinomial(p: TParams) -> LaurentSeries:
     return base.shift(t_shift(p.n, p.L, p.a, p.step))
 
 
+def packed_t(n: int, L: int, a: int, step: int) -> tuple[int, int, int]:
+    """T_n(L, a; q_step), |a| <= L, as (x, w, e): x = sum c_j X^j is the
+    packed entry of row L that it reverses, in unsigned slots of 64 w
+    bits, and T_n(L, a; q_step) = sum c_j q^((e - step j)/2)."""
+    b, a0, sh = _fold(L, step, a - n, a, 0)
+    d = b - a0
+    row, w = _ROWS.row(L, min(0, d), max(1, d))
+    return row[d][a0], w, t_shift(n, L, a, step) - sh + _offset(d) * step
+
+
 def t_shift(n: int, L: int, a: int, step: int) -> int:
     """The s, in half-units, with T_n(L, a; q_step) = q^(s/2) times
     (L, a-n; a; q_step)_2 at q -> 1/q."""
@@ -307,24 +320,22 @@ def t_trinomial_sum(n: int, L: int, step: int, terms) -> LaurentSeries:
     ).reverse_exponents()
 
 
-def refined_trinomial(p: RefinedTParams) -> LaurentSeries:
-    """Warnaar's refined trinomial cal-T(L, M; a, b; q_step), exact.
+def refined_terms(p: RefinedTParams):
+    """The terms of cal-T(L, M; a, b; q_step) for ``gaussian_sum``: over
+    n >= 0 with L - a == n (mod 2),
+    q^{n^2/2} [M, n] [M+b+(L-a-n)/2, M+b] [M-b+(L+a-n)/2, M-b].  Only
+    the n <= min(M, L - |a|) with |b| <= M are yielded: every other term
+    has a factor out of range, so it is 0."""
+    if abs(p.b) > p.M:
+        return
+    for n in range((p.L - p.a) % 2, min(p.M, p.L - abs(p.a)) + 1, 2):
+        yield (1, _half_units(n * n, p.step),
+               ((p.M, n, p.step),
+                (p.M + p.b + (p.L - p.a - n) // 2, p.M + p.b, p.step),
+                (p.M - p.b + (p.L + p.a - n) // 2, p.M - p.b, p.step)))
 
-    Sum over n >= 0 with L - a == n (mod 2) of
-    q^{n^2/2} [M, n] [M+b+(L-a-n)/2, M+b] [M-b+(L+a-n)/2, M-b].
-    """
-    parts = []
-    for n in range(p.M + 1):
-        if (p.L - p.a - n) % 2 != 0:
-            continue
-        t1 = gaussian_binomial(p.M, n, p.step)
-        t2 = gaussian_binomial(p.M + p.b + (p.L - p.a - n) // 2,
-                               p.M + p.b, p.step)
-        if t2.is_zero():
-            continue
-        t3 = gaussian_binomial(p.M - p.b + (p.L + p.a - n) // 2,
-                               p.M - p.b, p.step)
-        if t3.is_zero():
-            continue
-        parts.append((t1 * t2 * t3).shift(_half_units(n * n, p.step)))
-    return LaurentSeries.sum(parts)
+
+def refined_trinomial(p: RefinedTParams) -> LaurentSeries:
+    """Warnaar's refined trinomial cal-T(L, M; a, b; q_step), exact: one
+    ``gaussian_sum`` of its ``refined_terms``."""
+    return gaussian_sum(refined_terms(p))

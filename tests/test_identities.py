@@ -253,8 +253,9 @@ class TestShortenedWindow:
 
 
 class TestCaches:
-    NAMES = {"q_poch", "_gaussian_base", "_round_trinomial", "_ratio3",
-             "_ratio4", "round_rows", "round_row_entries"}
+    NAMES = {"q_poch", "_gaussian_base", "packed_gaussian",
+             "_round_trinomial", "_ratio3", "_ratio4", "round_rows",
+             "round_row_entries"}
 
     def test_clear_then_rebuild(self):
         inst = IdentityInstance("first_pair", {"L": 4})

@@ -671,7 +671,8 @@ class TestPackedSum:
         x = sum(v << 64 * w * i for i, v in enumerate(c))
         p = packed_mul_one_minus(x, w, d)
         assert p == sum(v << 64 * w * e for e, v in want.terms.items())
-        assert packed_div_one_minus(p, w, d, len(c)) == x
+        assert packed_div_one_minus(p, w, d,
+                                    (1 << 64 * w * len(c)) - 1) == x
 
     def test_ratio3_sum_guard(self):
         # a sum fits while its heights add up below X / 2; at L = 40 the
