@@ -21,9 +21,8 @@ from itertools import accumulate, count
 from typing import Callable, Optional, Union
 
 from . import qblocks, trinomials
-from .series import (LaurentSeries, TrivariateSeries, pack_series,
-                     packed_div_one_minus, packed_mul_one_minus, packed_sum,
-                     repack, slot_words, unpack_series)
+from .series import (LaurentSeries, TrivariateSeries, packed_sum, repack,
+                     slot_words, walk_one_minus)
 from .qblocks import (MonomialArg, gaussian_binomial, gaussian_peak,
                       gaussian_sum, inv_poch_infinite, inv_poch_series,
                       packed_gaussian, poch_infinite, q_poch)
@@ -88,75 +87,94 @@ def _ratio3_steps(L: int) -> list[tuple[int, int, int]]:
             for n in range(1, L // 2 + 1)]
 
 
-def _ratio3_walk(L: int):
-    """Yield the quotients (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n),
-    n = 0..L//2, as series.  The head n = 0 is
-    prod_{k=1..L} (1-q^(3k)) / (1-q^k), whose partial products are the
-    polynomials prod_{j<=k} (1+q^j+q^(2j)); the entries after it take the
-    steps of _ratio3_steps(L).  Each step multiplies before it divides,
-    so every partial result is a polynomial and a remainder still
-    raises."""
-    r = LaurentSeries.one()
-    for k in range(1, L + 1):
-        r = r.mul_one_minus(1, 6 * k).div_one_minus(1, 2 * k)
-    yield r
-    for a, b, d in _ratio3_steps(L):
-        r = r.mul_one_minus(1, 2 * a).mul_one_minus(1, 2 * b) \
-            .div_one_minus(1, 2 * d)
-        yield r
-
-
 @lru_cache(maxsize=None)
 def _ratio3(L: int) -> tuple[int, int, tuple[int, ...]]:
-    """The quotients of _ratio3_walk(L), packed: (w, h, (x_0, x_1, ...)),
-    x_n = sum c_i X^i for entry n = sum c_i q^i, in two's-complement
-    slots of 64 w bits, and h the sum over the entries of their largest
-    |coefficient|.  The whole table takes w = slot_words(2 h), so a sum
-    that reads each entry at most twice fits its slots.
+    """The quotients (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n), n = 0..L//2,
+    packed: (w, h, (x_0, x_1, ...)), x_n = sum c_i X^i for entry n =
+    sum c_i q^i, in two's-complement slots of 64 w bits, and h the sum
+    over the entries of their largest |coefficient|.  The whole table
+    takes w = slot_words(2 h), so a sum that reads each entry at most
+    twice fits its slots.
 
-    The series walk runs first, keeping only its head: its divisions
-    check their remainders, and it measures h and each entry's length.
-    The head is then packed and carried through the same steps as packed
-    integers, each division exact since the walk's was
-    (``packed_div_one_minus``): a few shifts per entry, where packing
-    each entry costs a call per coefficient.  No series is kept."""
-    h, slots = 0, []
-    for r in _ratio3_walk(L):
-        if not slots:
-            head = r
-        h += r.max_abs_coeff()
-        slots.append(r.max_exp() // 2 + 1)
+    The head n = 0 is prod_{k=1..L} (1 + X^k + X^(2k)), two shift-adds
+    per k; its coefficients add up to 3^L, so slots that hold 3^L hold
+    every partial product.  ``walk_one_minus`` carries it through the
+    steps of _ratio3_steps(L): each division is checked, and each entry
+    is measured, which gives h and keeps the walk's slots as narrow as
+    its bound allows.  Each entry is then repacked into the table's
+    slots where the walk's differ.  No series is built."""
+    w = slot_words(3 ** L)
+    x = 1
+    for k in range(1, L + 1):
+        x += (x << 64 * w * k) + (x << 128 * w * k)
+    walk = list(walk_one_minus(x, w, (3 ** L).bit_length(),
+                               _ratio3_steps(L), measure=True))
+    h = sum(height for _, _, height in walk)
     w = slot_words(2 * h)
-    x = pack_series(head, w, 2)
-    del head
-    packed = [x]
-    for (a, b, d), n in zip(_ratio3_steps(L), slots[1:]):
-        x = packed_mul_one_minus(packed_mul_one_minus(x, w, a), w, b)
-        x = packed_div_one_minus(x, w, d, (1 << 64 * w * n) - 1)
-        packed.append(x)
-    return w, h, tuple(packed)
+    for n, (x, v, _) in enumerate(walk):
+        walk[n] = repack(x, v, w, signed=True)
+    return w, h, tuple(walk)
+
+
+def _ratio4_bound(M: int, k: int) -> int:
+    """A bound on the slots of a sum of each quotient of ``_ratio4`` k
+    times: k times the sum over m + 2n + d = M of a bound on the largest
+    |coefficient| of each quotient.
+
+    The quotient is prod_{M-n < j <= M} (1 - q^(3j)), whose coefficients
+    add up in absolute value to at most 2^n, times the q^3-multinomial
+    [M - n; m, n, d], whose add up to (M - n)! / (m! n! d!), times C_m =
+    prod_{j <= m} (1 + q^j + q^(2j)); the last two are non-negative, so
+    each coefficient is at most 2^n (M - n)! / (m! n! d!) max C_m.  With
+    max C_m <= 3^m these add up to a_M = [z^M] 1 / (1 - 4z - 2z^2).  Where
+    k a_M needs more than one word, max C_m is measured instead, from the
+    C_m walked packed: that takes 7 to 8 bits off from M = 30 to 62."""
+    a, b = 1, 4
+    for _ in range(M):
+        a, b = b, 4 * b + 2 * a
+    if slot_words(k * a) == 1:
+        return k * a
+    top = [h for _, _, h in walk_one_minus(
+        1, 1, 1, ((3 * j, j) for j in range(1, M + 1)), measure=True)]
+    return k * sum(2 ** n * math.comb(M - n, n) * math.comb(M - 2 * n, m)
+                   * top[m] for n in range(M // 2 + 1)
+                   for m in range(M - 2 * n + 1))
 
 
 @lru_cache(maxsize=None)
 def _ratio4(M: int, *exps: Callable[[int, int], int]) -> LaurentSeries:
     """sum over m + 2n <= M of (q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n
     (q^3;q^3)_d) q^(e(m, n)/2), d = M - 2n - m, one term for each exponent
-    e in ``exps`` (half-units).  Column n starts at its d = 0 entry, entry
-    n of _ratio3(M), and walks down m: the entry at d is the one at d - 1
-    times (1-q^(m+1)) / (1-q^(3d)), multiplied before it is divided as in
-    the walk, so a remainder still raises.  Each column is added to the
-    running sum once walked, so one column is held at a time."""
-    w, _, table = _ratio3(M)
-    out = LaurentSeries.zero()
-    for n, x in enumerate(table):
-        top = M - 2 * n
-        r = unpack_series(x, w, 0, 2, signed=True)
-        column = [r.shift(e(top, n)) for e in exps]
-        for d in range(1, top + 1):
-            r = r.mul_one_minus(1, 2 * (top - d + 1)).div_one_minus(1, 6 * d)
-            column += (r.shift(e(top - d, n)) for e in exps)
-        out = LaurentSeries.sum([out, *column])
-    return out
+    e in ``exps`` (half-units), as one ``packed_sum`` in signed slots.
+
+    Column n starts at its d = 0 entry, entry n of _ratio3(M), and walks
+    down m with ``walk_one_minus``: the entry at d is the one at d - 1
+    times (1 - q^(m+1)) / (1 - q^(3d)), each division checked.  The
+    entries go to the sum as they are walked, so one is held at a time.
+    The sum takes slots of its own, from ``_ratio4_bound``: the table's
+    can be too narrow for it (M = 40 is one word short).  The walk starts
+    in them and widens on its own if it must; an entry walked wider is
+    repacked into them."""
+    v, h, table = _ratio3(M)
+    bound = _ratio4_bound(M, len(exps))
+    w = slot_words(bound)
+    b = min(h, bound).bit_length()
+
+    def entries():
+        # a zero part at m = n = 0 first: there each family's exponent is
+        # least, so no later part moves the class sum up to a lower base
+        for e in exps:
+            yield 0, e(0, 0), False
+        for n, x in enumerate(table):
+            top = M - 2 * n
+            steps = ((top - d + 1, 3 * d) for d in range(1, top + 1))
+            walk = walk_one_minus(repack(x, v, w, signed=True), w, b, steps)
+            for d, (y, u, _) in enumerate(walk):
+                if u != w:
+                    y = repack(y, u, w, signed=True)
+                for e in exps:
+                    yield y, e(top - d, n), False
+    return packed_sum(entries(), w, 2, signed=True)
 
 
 # The lru_caches of the exact path, held as the cached callables

@@ -248,6 +248,14 @@ def gaussian_sum(terms) -> LaurentSeries:
     times it sets the slots of 64 w bits of the sum, into which a
     narrower product is repacked.  Both are taken before anything is
     packed."""
+    terms = list(terms)
+    if terms and all(len(t) == 3 and len(t[2]) == 1 and t[2] == terms[0][2]
+                     for t in terms):
+        # every term is one and the same binomial: its cached series,
+        # shifted, is the sum, and nothing is packed
+        one = gaussian_binomial(*terms[0][2][0])
+        return LaurentSeries.sum((one if c == 1 else one.scale_coeffs(c))
+                                 .shift(e) for c, e, _ in terms)
     kept, bound, g, signed = [], 0, 0, False
     for c, e, factors, *inner in terms:
         outer = _factor_bounds(factors)

@@ -15,9 +15,11 @@ and hashing do not depend on the grid.  Kernels are list operations on
 slices of these grids and build their results without re-filtering; the
 product packs both grids into integers and multiplies those once,
 ``packed_sum`` adds series kept packed, one integer per exponent class,
-``repack`` widens the unsigned slots of a packed series word by word,
-and ``carry_one_minus`` carries a truncated series through a run of
-factors 1 - s q^(e/2) as one packed integer.
+``repack`` moves the slots of a packed series to other widths word by
+word, ``carry_one_minus`` carries a truncated series through a run of
+factors 1 - s q^(e/2) as one packed integer, and ``walk_one_minus``
+carries an exact one through multiplied and divided factors 1 - q^(e/2),
+each division checked.
 
 A series is either exact (``cutoff is None``) or truncated above an
 inclusive upper bound ``cutoff``, and stores no term above it.  All
@@ -84,6 +86,12 @@ def _sign_bits(w: int, n: int) -> int:
     return int.from_bytes((bytes(8 * w - 1) + b"\x80") * n, "little")
 
 
+def _half_bits(w: int, k: int, n: int) -> int:
+    """2^(64 k - 1) in each of n slots of 64 w bits, k <= w."""
+    return int.from_bytes((bytes(8 * k - 1) + b"\x80" + bytes(8 * (w - k)))
+                          * n, "little")
+
+
 def _pack(c: list, w: int, signs: int) -> int:
     """sum c[i] X^i: a negative slot reads as itself plus X, with its sign
     bit set, and one subtraction takes those X back."""
@@ -121,7 +129,10 @@ def pack_series(s: "LaurentSeries", w: int, stride: int) -> int:
     s = sum c_i q^(i * stride/2), whose exponents all lie on that grid
     from 0 up, in two's-complement slots: each |c_i| must be below X / 2
     (see slot_words).  The inverse of unpack_series(x, w, 0, stride,
-    signed=True); the zero series packs to 0."""
+    signed=True); the zero series packs to 0.  It costs a call per
+    coefficient, so only series built as lists are packed with it (the
+    cached binomials of ``qblocks.packed_gaussian``); the packed walks
+    build their integers by shift-adds instead."""
     if not s._c:
         return 0
     k, p = s._stride // stride or 1, s._lo // stride
@@ -143,19 +154,26 @@ def unpack_series(x: int, w: int, lo: int, stride: int = 1,
                 _unpack(x, n, w, _sign_bits(w, n) if signed else 0), None)
 
 
-def repack(x: int, w: int, v: int) -> int:
-    """The packed integer x >= 0 of unsigned slots of 64 w bits, in slots
-    of 64 v bits, v >= w: its words are copied into the low words of the
-    wider slots, so no slot is read as an int."""
+def repack(x: int, w: int, v: int, signed: bool = False) -> int:
+    """The packed integer x of slots of 64 w bits in slots of 64 v bits:
+    the low words of each slot are copied, so no slot is read as an int.
+    Unsigned, x >= 0 and v >= w.  Signed, the slots are two's complement,
+    v may be less than w, and every |slot| must be below 2^(64 k - 1),
+    k = min(w, v): adding 2^(64 k - 1) to each makes it k unsigned words,
+    and the same is taken back from each wider or narrower slot."""
     if v == w:
         return x
+    k = min(w, v)
     n = x.bit_length() // (64 * w) + 1
+    if signed:
+        x += _half_bits(w, k, n)
     src = memoryview(x.to_bytes(8 * w * n, "little")).cast("Q")
     out = bytearray(8 * v * n)
     dst = memoryview(out).cast("Q")
-    for j in range(w):
+    for j in range(k):
         dst[j::v] = src[j::w]
-    return int.from_bytes(out, "little")
+    x = int.from_bytes(out, "little")
+    return x - _half_bits(v, k, n) if signed else x
 
 
 def packed_mul_one_minus(x: int, w: int, d: int) -> int:
@@ -271,6 +289,106 @@ def carry_one_minus(s: "LaurentSeries", sign: int, exps,
         else:
             x = (x + (x << 64 * w * d)) & mask
     return _new(lo, g, _unpack(x, n, w, signs), s.cutoff)
+
+
+def _height(x: int, n: int, w: int, b: int, exact: bool) -> int:
+    """A bound on the largest |slot| of the n two's-complement slots of x,
+    each in [-2^b, 2^b), b <= 64 w - 1, and that largest |slot| itself
+    when ``exact``.  Each slot plus 2^b lies in [0, 2^(b+1)), and shifted
+    down by s = max(b - 63, 0) bits it is one word, the low word of its
+    slot: the least and the largest of those words bound every slot to
+    within 2^s.  Exact, only the slots at those two words are read whole,
+    unless more than a few are (then every slot is unpacked)."""
+    s = max(b - 63, 0)
+    u = x + int.from_bytes((1 << b).to_bytes(8 * w, "little") * n, "little")
+    top = memoryview((u >> s).to_bytes(8 * w * n, "little")).cast("Q")
+    top = top[::w].tolist()
+    hi, lo = max(top), min(top)
+    most = max(((hi + 1) << s) - 1 - (1 << b), (1 << b) - (lo << s))
+    if not exact or not s:
+        return most
+    counts = {t: top.count(t) for t in (hi, lo)}
+    if sum(counts.values()) > 8:
+        c = _unpack(x, n, w, _sign_bits(w, n))
+        return max(max(c), -min(c))
+    data, most = u.to_bytes(8 * w * n, "little"), 0
+    for t, k in counts.items():
+        i = -1
+        for _ in range(k):
+            i = top.index(t, i + 1)
+            c = int.from_bytes(data[8 * w * i:8 * w * (i + 1)], "little")
+            most = max(most, abs(c - (1 << b)))
+    return most
+
+
+def walk_one_minus(x: int, w: int, b: int, steps, measure: bool = False):
+    """Yield the exact series packed in x, then the series after each step
+    of ``steps`` in turn, as (x, w, height): x in two's-complement slots
+    of 64 w bits and every |slot| at most height.  A step (m_1, ..., m_k,
+    d), in slots, multiplies by each 1 - X^(m_i) and then divides by
+    1 - X^d, d >= 1; the division must be exact, else ValueError.  Each
+    slot of the x given must be below 2^b in absolute value, b <= 64 w -
+    1.  With ``measure`` every height is the largest |slot|; otherwise it
+    is 2^b - 1 for the bound b the walk keeps.
+
+    A factor multiplied is one shift-add.  A factor divided is
+    ``packed_div_one_minus`` through the quotient's slots, one for each
+    slot of the product past the first d, and then checked: Q (1 - X^d)
+    must equal the product p as integers.  While every slot of p lies
+    in its word and every slot of Q lies a bit inside it, below 2^(64 w -
+    2), each slot of Q (1 - X^d) lies in its word too, and two lists of
+    such slots pack to different integers: the check then proves the
+    division slot by slot, whatever Q the kernel returned, and a
+    remainder, or a width too narrow, raises.
+
+    Width invariant, as in ``carry_one_minus``: b bounds the bit length
+    of every slot and grows by 1 per primitive step (a shift-add, or a
+    doubling of the prefix sum), so Q's bound is b plus those of the
+    step.  Where that bound could reach 64 w - 1 (and after every
+    division when ``measure``), Q is measured (``_height``) and b is its
+    real bit length; if Q's slots do not lie a bit inside the word, or
+    the product would pass it, the step is taken again from the slots
+    repacked at ``_carry_width`` of b plus the step's bound.  The width
+    only grows."""
+    top = x.bit_length() // (64 * w)        # the top slot
+    height = (1 << b) - 1
+    if measure:
+        height = _height(x, top + 1, w, b, True)
+        b = height.bit_length()
+    yield x, w, height
+    for *muls, d in steps:
+        if d < 1:
+            raise ValueError("walk_one_minus needs divisors d >= 1")
+        if not x:
+            yield x, w, 0
+            continue
+        n = top + sum(muls) + 1 - d         # the slots of the quotient
+        if n < 1:
+            raise ValueError("non-zero remainder: not a multiple")
+        k = len(muls)
+        steps_q = k + ((n - 1) // d).bit_length()
+        if b + k > 64 * w - 1 and not measure:
+            b = _height(x, top + 1, w, b, False).bit_length()
+        for again in (False, True):
+            if again or b + k > 64 * w - 1:
+                v = _carry_width(b + steps_q + 1)
+                x, w = repack(x, w, v, signed=True), v
+            p, bits = x, 64 * w
+            for m in muls:
+                p = packed_mul_one_minus(p, w, m)
+            q = packed_div_one_minus(p, w, d, (1 << bits * n) - 1)
+            bq = b + steps_q
+            if measure or bq > 64 * w - 2:
+                # Q's slots are the prefix sums below 2^bq if bq fits
+                # the word; any Q has slots in [-X/2, X/2)
+                height = _height(q, n, w, min(bq, 64 * w - 1), measure)
+                bq = height.bit_length()
+            if bq <= 64 * w - 2:
+                break
+        if q - (q << bits * d) != p:
+            raise ValueError("non-zero remainder: not a multiple")
+        x, top, b = q, n - 1, bq
+        yield x, w, height if measure else (1 << b) - 1
 
 
 def packed_sum(parts, w: int, stride: int,

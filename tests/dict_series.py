@@ -4,12 +4,17 @@ These are the kernels ``LaurentSeries`` used before it stored dense
 strided coefficient lists, kept verbatim as an independent reference for
 the property tests in test_series.py.  ``one_minus_run`` is the
 per-factor loop that the truncated Pochhammer symbols ran before
-``series.carry_one_minus`` carried them as one packed integer.
+``series.carry_one_minus`` carried them as one packed integer, and
+``ratio3_walk`` and ``ratio4_fold`` are the series walks that the
+multinomial quotients of ``identities._ratio3`` and ``_ratio4`` took
+before ``series.walk_one_minus`` carried them packed.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+
+from qtrin.series import LaurentSeries
 
 
 def _min_cutoff(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -175,3 +180,40 @@ def one_minus_run(s, sign: int, exps, divide: bool = False):
     for e in exps:
         s = s.div_one_minus(sign, e) if divide else s.mul_one_minus(sign, e)
     return s
+
+
+def ratio3_walk(L: int):
+    """Yield the quotients (q^3;q^3)_L / ((q;q)_{L-2n} (q^3;q^3)_n),
+    n = 0..L//2, as LaurentSeries.  The head n = 0 is
+    prod_{k=1..L} (1-q^(3k)) / (1-q^k); entry n is entry n-1 times
+    (1-q^(L-2n+2)) (1-q^(L-2n+1)) / (1-q^(3n)).  Each step multiplies
+    before it divides, so every partial result is a polynomial and a
+    remainder raises."""
+    r = LaurentSeries.one()
+    for k in range(1, L + 1):
+        r = r.mul_one_minus(1, 6 * k).div_one_minus(1, 2 * k)
+    yield r
+    for n in range(1, L // 2 + 1):
+        r = r.mul_one_minus(1, 2 * (L - 2 * n + 2)) \
+            .mul_one_minus(1, 2 * (L - 2 * n + 1)).div_one_minus(1, 6 * n)
+        yield r
+
+
+def ratio4_columns(M: int):
+    """Yield ((m, n), quotient) for every m + 2n <= M, the quotient
+    (q^3;q^3)_M / ((q;q)_m (q^3;q^3)_n (q^3;q^3)_d), d = M - 2n - m, as
+    a LaurentSeries: column n starts at entry n of ratio3_walk(M) and
+    walks down m, times (1-q^(m+1)) / (1-q^(3d)) per step."""
+    for n, r in enumerate(ratio3_walk(M)):
+        top = M - 2 * n
+        yield (top, n), r
+        for d in range(1, top + 1):
+            r = r.mul_one_minus(1, 2 * (top - d + 1)).div_one_minus(1, 6 * d)
+            yield (top - d, n), r
+
+
+def ratio4_fold(M: int, *exps):
+    """The sum over ratio4_columns(M) of each quotient times q^(e(m, n)/2),
+    one term for each exponent e in exps (half-units)."""
+    return LaurentSeries.sum(r.shift(e(m, n)) for (m, n), r in
+                             ratio4_columns(M) for e in exps)

@@ -21,9 +21,12 @@ from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
 from qtrin.qblocks import (MonomialArg, gaussian_binomial, poch_finite,
                            q_poch)
 from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
-                          slot_words, unpack_series)
+                          pack_series, slot_words, unpack_series,
+                          walk_one_minus)
 from qtrin.trinomials import (TParams, TrinomialParams, round_trinomial,
                               t_trinomial)
+
+from dict_series import ratio3_walk, ratio4_columns, ratio4_fold
 
 
 def q(k):
@@ -330,20 +333,15 @@ class TestBuildsOnce:
         assert cache_sizes()["_round_trinomial"] == 0
         assert cache_sizes()["round_rows"] == 2
 
-    def test_quotients_walked_once_per_order(self, monkeypatch):
+    def test_quotients_walked_once_per_order(self):
         # the pair LHS at L = M and the three bounded Capparelli LHS at M
-        # read one _ratio3(M) table: the series walk runs once
+        # read one _ratio3(M) table: it is built once, one cache miss
         clear_caches()
-        walk, seen = identities._ratio3_walk, []
-
-        def counted(L):
-            seen.append(L)
-            return walk(L)
-        monkeypatch.setattr(identities, "_ratio3_walk", counted)
         assert verify_identity(IdentityInstance("first_pair", {"L": 8})).match
         for id in ("thm71", "thm72", "fincap2m"):
             assert verify_identity(IdentityInstance(id, {"M": 8})).match
-        assert seen == [8]
+        info = identities._ratio3.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     @pytest.mark.parametrize("id, side, params, cutoff, name, calls", [
         ("first_pair", "RHS", {"L": 10}, None, "round_trinomial_sum", 1),
@@ -643,6 +641,107 @@ class TestRatios:
             assert bands(30, cold)[0, 0] == LaurentSeries.one()
 
 
+class TestPackedWalks:
+    """The packed, checked walks of _ratio3 and _ratio4 against the series
+    walks they replaced (dict_series.ratio3_walk and ratio4_fold)."""
+
+    @staticmethod
+    def same_table(L):
+        w, h, table = identities._ratio3(L)
+        walk = list(ratio3_walk(L))
+        assert unpacked((w, h, table)) == walk, L
+        assert h == sum(r.max_abs_coeff() for r in walk)
+        assert w == slot_words(2 * h)
+
+    def test_tables_through_90(self):
+        for L in range(91):
+            clear_caches()
+            self.same_table(L)
+
+    # the table's slots take one word through L = 40, two from 41, three
+    # from 78 and four from 115
+    @pytest.mark.parametrize("L, w", [(40, 1), (41, 2), (77, 2), (78, 3),
+                                      (114, 3), (115, 4)])
+    def test_table_width_edges(self, L, w):
+        clear_caches()
+        assert identities._ratio3(L)[0] == w
+        self.same_table(L)
+
+    @pytest.mark.parametrize("M", [39, 40, 41, 42])
+    def test_folds_at_the_table_width_edge(self, M):
+        clear_caches()
+        for exps in ((identities._kr1_exp,), (identities._outlook2_exp,),
+                     (identities._cap2_exp_a, identities._cap2_exp_b)):
+            assert identities._ratio4(M, *exps) == ratio4_fold(M, *exps)
+
+    @pytest.mark.parametrize("M", [12, 28, 29, 30, 34, 40])
+    def test_fold_bound_holds(self, M):
+        # the slots of the fold come from this bound: at least the sum of
+        # the largest |coefficient| of every quotient, k times; from
+        # M = 29 (k = 2) it measures the C_m, and it takes one word
+        # through M = 30
+        heights = sum(r.max_abs_coeff() for _, r in ratio4_columns(M))
+        for k in (1, 2):
+            assert k * heights <= identities._ratio4_bound(M, k)
+            assert slot_words(identities._ratio4_bound(M, k)) == \
+                (1 if M <= 30 else 2)
+
+    def test_columns_pass_the_table_width_at_40(self):
+        # the table of M = 40 has one-word slots, but the quotients down
+        # its columns do not fit them: each column walked from the table
+        # in its own slots widens, and gives the series walk's quotients
+        clear_caches()
+        w, h, table = identities._ratio3(40)
+        assert w == 1
+        want = dict(ratio4_columns(40))
+        assert max(r.max_abs_coeff() for r in want.values()) >= 2 ** 63
+        widths = set()
+        for n, x in enumerate(table):
+            top = 40 - 2 * n
+            steps = [(top - d + 1, 3 * d) for d in range(1, top + 1)]
+            for d, (y, v, _) in enumerate(walk_one_minus(
+                    x, w, h.bit_length(), steps)):
+                assert unpack_series(y, v, 0, 2, signed=True) == \
+                    want[top - d, n]
+                widths.add(v)
+        assert widths == {1, 2}
+
+    @pytest.mark.parametrize("L", [42, 45])
+    def test_table_walk_started_narrow_widens(self, L):
+        # _ratio3 packs the head in the slots of its bound 3^L, two words
+        # here; its coefficients fit one, and a walk started there widens
+        # when it must and gives the same entries
+        walk = list(ratio3_walk(L))
+        head = walk[0]
+        assert slot_words(3 ** L) == 2 == slot_words(head.max_abs_coeff()) + 1
+        out = list(walk_one_minus(pack_series(head, 1, 2), 1,
+                                  head.max_abs_coeff().bit_length(),
+                                  identities._ratio3_steps(L), measure=True))
+        assert [unpack_series(x, v, 0, 2, signed=True) for x, v, _ in out] \
+            == walk
+        assert [h for _, _, h in out] == [r.max_abs_coeff() for r in walk]
+        assert {v for _, v, _ in out} == {1, 2}
+
+    @pytest.mark.parametrize("L, p", [(20, 61), (60, 181)])
+    def test_changed_step_raises(self, monkeypatch, L, p):
+        # the third step divides by 1 - q^p instead, p a prime above 3L:
+        # no factor 1 - q^k, k <= 3L, of the quotients vanishes at a
+        # primitive p-th root of unity, so that division leaves a
+        # remainder, and no table is cached
+        steps = identities._ratio3_steps
+
+        def changed(L):
+            out = steps(L)
+            a, b, _ = out[2]
+            out[2] = a, b, p
+            return out
+        monkeypatch.setattr(identities, "_ratio3_steps", changed)
+        clear_caches()
+        with pytest.raises(ValueError, match="remainder"):
+            identities._ratio3(L)
+        assert identities._ratio3.cache_info().currsize == 0
+
+
 def pair_lhs_terms(L):
     """id -> (sign, exponents) of the six pair and dual LHS sums
     sum_n sign^n _ratio3 entry n q^(e(n)/2), one term per exponent e."""
@@ -672,7 +771,7 @@ class TestRatio3Sums:
     def test_lhs_across_width_edges(self, L, w):
         clear_caches()
         assert identities._ratio3(L)[0] == w
-        walk = list(identities._ratio3_walk(L))
+        walk = list(ratio3_walk(L))
         for id, (sign, exps) in pair_lhs_terms(L).items():
             want = LaurentSeries.sum((r if sign ** n > 0 else -r).shift(e(n))
                                      for n, r in enumerate(walk)

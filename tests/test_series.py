@@ -6,8 +6,8 @@ from hypothesis import example, given, strategies as st
 from qtrin import identities, series
 from qtrin.series import (LaurentSeries, TrivariateSeries, carry_one_minus,
                           exact_divide, pack_series, packed_div_one_minus,
-                          packed_mul_one_minus, packed_sum, slot_words,
-                          unpack_series)
+                          packed_mul_one_minus, packed_sum, repack,
+                          slot_words, unpack_series, walk_one_minus)
 
 from dict_series import DictSeries, one_minus_run
 
@@ -791,6 +791,123 @@ class TestCarryOneMinus:
         for exps in ([0], [3, -2]):
             with pytest.raises(ValueError, match="e >= 1"):
                 carry_one_minus(S({0: 1}, 9), 1, exps, True)
+
+
+@st.composite
+def walk_cases(draw):
+    """(start, steps) for walk_one_minus: a polynomial P in q^(1/2) from
+    exponent 0 up, with small coefficients or ones of 63 to 140 bits and
+    P(1) != 0, times a 1 - q^(d/2) for the divisor d of each step, so
+    every step divides exactly; each step multiplies by up to two
+    factors 1 - q^(m/2) first.  Exponents are slots, up to 40."""
+    big = st.integers(2 ** 63 - 3, 2 ** 140).map(
+        lambda v: v if v % 2 else -v)
+    coeffs = draw(st.lists(st.one_of(st.integers(-9, 9), big), min_size=1,
+                           max_size=30))
+    if sum(coeffs) == 0:
+        coeffs[0] += 1
+    p = LaurentSeries(dict(enumerate(coeffs)))
+    steps = draw(st.lists(st.tuples(
+        st.lists(st.integers(1, 40), max_size=2), st.integers(1, 40)),
+        max_size=12))
+    for _, d in steps:
+        p = p.mul_one_minus(1, d)
+    return p, [(*muls, d) for muls, d in steps]
+
+
+class TestWalkOneMinus:
+    """The exact packed walk of the multinomial quotients against the same
+    steps taken on LaurentSeries, its checks, its heights and the signed
+    repack it widens with."""
+
+    @staticmethod
+    def walked(start, steps, w, measure):
+        b = start.max_abs_coeff().bit_length()
+        out = list(walk_one_minus(pack_series(start, w, 1), w, b, steps,
+                                  measure))
+        want, r = [start], start
+        for *muls, d in steps:
+            for m in muls:
+                r = r.mul_one_minus(1, m)
+            r = r.div_one_minus(1, d)
+            want.append(r)
+        assert [unpack_series(x, v, 0, 1, signed=True) for x, v, _ in out] \
+            == want
+        for (x, v, height), r in zip(out, want):
+            if measure:
+                assert height == r.max_abs_coeff()
+            else:
+                assert height >= r.max_abs_coeff()
+        widths = [v for _, v, _ in out]
+        assert widths == sorted(widths)
+        return widths
+
+    @given(walk_cases(), st.booleans())
+    # (1 - q^(1/2))^2 / (1 - q^(1/2)), then 1 / (1 - q^(1/2))
+    @example((S({0: 1, 1: -2, 2: 1}), [(1, 1), (1,)]), True)
+    # coefficients near 2^63 that must widen at the first step
+    @example((S({0: 2 ** 63 - 3, 1: -(2 ** 63 - 3)}), [(1, 1, 1)]), False)
+    def test_matches_series_steps(self, case, measure):
+        start, steps = case
+        self.walked(start, steps, slot_words(start.max_abs_coeff()),
+                    measure)
+
+    @pytest.mark.parametrize("measure", [False, True])
+    def test_widens_from_one_word(self, measure):
+        # each of the first 40 steps multiplies by (1 - q^(1/2))^2 and
+        # divides by 1 - q, so the coefficients grow past 2^63: a walk
+        # started in one word must widen and keep every slot
+        start = S({0: 1})
+        steps = [(1, 1, 2)] * 40 + [(3, 1)] * 10
+        for *muls, d in steps:
+            start = start.mul_one_minus(1, d)
+        widths = self.walked(start, steps, 1, measure)
+        assert widths[0] == 1 and widths[-1] >= 2
+
+    @pytest.mark.parametrize("measure", [False, True])
+    def test_inexact_division_raises(self, measure):
+        # P(1) != 0, so 1 - q does not divide P; 1 - q^(7/2) does not
+        # divide P (1 - q^(3/2)) (1 - q); and 1 - q^(9/2), past the top
+        # slot, leaves P as its remainder
+        p = S({0: 2 ** 70 + 1, 1: -3, 5: 2 ** 100})
+        x, b = pack_series(p, 2, 1), p.max_abs_coeff().bit_length()
+        for steps in ([(2,)], [(3, 2, 7), (4,)], [(9,)]):
+            with pytest.raises(ValueError, match="remainder"):
+                list(walk_one_minus(x, 2, b, steps, measure))
+
+    def test_rejects_divisors_below_one(self):
+        for step in [(0,), (2, 0), (2, -1)]:
+            with pytest.raises(ValueError, match="d >= 1"):
+                list(walk_one_minus(1, 1, 1, [step]))
+
+    def test_zero_stays_zero(self):
+        assert [x for x, _, _ in walk_one_minus(0, 1, 0, [(2, 3), (5,)])] \
+            == [0, 0, 0]
+
+    @given(signed_slots, st.integers(0, 40))
+    # many slots at the extremes: every slot is unpacked
+    @example((2, [2 ** 100] * 5 + [-(2 ** 100)] * 5), 0)
+    @example((3, [1, -1, 0]), 100)
+    def test_heights(self, case, slack):
+        w, c = case
+        top = max(max(c), -min(c))
+        b = min(top.bit_length() + slack, 64 * w - 1)
+        x = sum(v << 64 * w * i for i, v in enumerate(c))
+        assert series._height(x, len(c), w, b, True) == top
+        bound = series._height(x, len(c), w, b, False)
+        assert top <= bound < top + 2 ** max(b - 63, 0) + 1
+
+    @given(signed_slots, st.integers(1, 4))
+    @example((1, [-(2 ** 63 - 1), 2 ** 63 - 1]), 2)
+    @example((3, [2 ** 60, -5, 0, -(2 ** 62)]), 1)
+    def test_signed_repack(self, case, v):
+        # widened, or narrowed to slots that still hold every slot
+        w, c = case
+        if slot_words(max(max(c), -min(c))) > v:
+            v = w + v
+        x = sum(u << 64 * w * i for i, u in enumerate(c))
+        assert repack(x, w, v, signed=True) == \
+            sum(u << 64 * v * i for i, u in enumerate(c))
 
 
 class TestSum:
