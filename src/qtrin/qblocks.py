@@ -7,22 +7,26 @@ step=6 means base q^3 and so on.
 Arguments of Pochhammer symbols are signed monomials a = sign * q^(exp/2)
 with sign in {-1, 0, +1}; sign 0 encodes a = 0.
 
-The exact symbols and the Gaussian binomials are built one factor
-1 - a q_step^k at a time with ``LaurentSeries.mul_one_minus`` or
-``div_one_minus``, whose exact divisions check their remainders.  The
-truncated symbols (``poch_infinite``, ``inv_poch_infinite`` and
-``inv_poch_series``) hand all of their factors to one
-``series.carry_one_minus`` call, which carries the series through them as
-one packed integer.  The infinite ones take an optional series ``out``
-and multiply or divide it, so a truncated product of several symbols is
-one series carried through all of their factors, never a dense product
-of two of them.
+The exact symbols are built one factor 1 - a q_step^k at a time with
+``LaurentSeries.mul_one_minus``.  The truncated symbols (``poch_infinite``,
+``inv_poch_infinite`` and ``inv_poch_series``) hand all of their factors
+to one ``series.carry_one_minus`` call, which carries the series through
+them as one packed integer.  The infinite ones take an optional series
+``out`` and multiply or divide it, so a truncated product of several
+symbols is one series carried through all of their factors, never a
+dense product of two of them.
+
+An exact Gaussian binomial has one form, a packed integer: each [top, k]
+is one ``series.walk_one_minus`` from 1, every division checked, cached
+with its middle coefficient (``_gaussian_base``).  ``packed_gaussian``
+narrows and spreads it for a sum's slots, and ``gaussian_binomial``
+unpacks it.  A truncated binomial is ``inv_poch_series`` carried through
+its numerator factors.
 
 An exact sum of products of Gaussian binomials is one ``gaussian_sum``:
-each binomial is packed once per slot width and spread
-(``packed_gaussian``, cached), each term is one product of integers, and
-``series.packed_sum`` adds the products and unpacks each exponent class
-once.  The slot widths come from a bound on the slots taken before
+each binomial is read from ``packed_gaussian``, each term is one product
+of integers, and ``series.packed_sum`` adds the products and unpacks
+each exponent class once.  The slot widths come from a bound on the slots taken before
 anything is packed: the coefficients are non-negative, so a product's
 slots are at most one factor's middle coefficient (``gaussian_peak``)
 times the values of the others at q = 1.
@@ -36,8 +40,8 @@ from math import comb, gcd, prod
 from operator import mul
 from typing import Optional
 
-from .series import (LaurentSeries, carry_one_minus, pack_series,
-                     packed_sum, repack, slot_words)
+from .series import (LaurentSeries, carry_one_minus, packed_sum, repack,
+                     slot_words, unpack_series, walk_one_minus)
 
 
 @dataclass(frozen=True)
@@ -120,13 +124,6 @@ def inv_poch_infinite(arg: MonomialArg, step: int, cutoff: int,
     return _infinite_product(arg, step, cutoff, out, True)
 
 
-def _acting(out: LaurentSeries, n: int, step: int) -> range:
-    """The k in 1..n whose factor 1 - q_step^k reaches a term that out
-    keeps (see ``_reach``)."""
-    top = _reach(out)
-    return range(1, n + 1 if top is None else min(n, top // step) + 1)
-
-
 def inv_poch_series(n: int, step: int, cutoff: int) -> LaurentSeries:
     """Truncated 1/(q_step; q_step)_n, divided by the factors
     (1 - q_step^k) up to the first that reaches no kept term; the zero
@@ -139,56 +136,59 @@ def inv_poch_series(n: int, step: int, cutoff: int) -> LaurentSeries:
     if n < 0:
         return LaurentSeries.zero(cutoff)
     out = LaurentSeries.one().truncate(cutoff)
-    return carry_one_minus(out, 1, (k * step for k in _acting(out, n, step)),
-                           True)
-
-
-def _gaussian_loop(out: LaurentSeries, top: int, bottom: int,
-                   step: int) -> LaurentSeries:
-    """out * [top, bottom] in base q_step, 0 <= bottom <= top, one factor
-    (1 - q_step^(top-k+i)) / (1 - q_step^i) at a time, k = min(bottom,
-    top - bottom); after factor i the product holds [top-k+i, i].  A
-    truncated out gives the exact product truncated at its cutoff."""
-    k = min(bottom, top - bottom)
-    # factor i multiplies by 1 - q_step^(top-k+i), whose exponent is at
-    # least that of the divisor 1 - q_step^i
-    for i in _acting(out, k, step):
-        out = out.mul_one_minus(1, (top - k + i) * step)
-        out = out.div_one_minus(1, i * step)
-    return out
+    return carry_one_minus(out, 1, range(step, min(n * step, _reach(out)) + 1,
+                                         step), True)
 
 
 @lru_cache(maxsize=None)
-def _gaussian_base(top: int, bottom: int) -> LaurentSeries:
-    """[top, bottom] in base q^(1/2), cached; callers pass bottom <=
-    top - bottom, so one entry serves [top, k] and [top, top - k]."""
-    return _gaussian_loop(LaurentSeries.one(), top, bottom, 1)
+def _gaussian_base(top: int, k: int) -> tuple[int, int, int]:
+    """[top, k], 0 <= k <= top - k, in its base Q as (x, w, peak), cached:
+    x = sum c_i X^i, X = 2^(64 w), for [top, k] = sum c_i Q^i, and peak
+    its largest coefficient, the middle one, since the list is symmetric
+    and unimodal.  One entry serves [top, k] and [top, top - k].
+
+    ``walk_one_minus`` walks x from 1 through the steps (top - k + i, i),
+    i = 1..k: step i multiplies by 1 - X^(top-k+i) and divides by
+    1 - X^i, so it holds [top - k + i, i], and every division is checked.
+    No coefficient is negative, so every slot of x reads as unsigned
+    too, and w is at least slot_words(peak).  No series is built."""
+    for x, w, _ in walk_one_minus(1, 1, 1, ((top - k + i, i)
+                                            for i in range(1, k + 1))):
+        pass
+    bits = 64 * w
+    return x, w, (x >> bits * (k * (top - k) // 2)) & ((1 << bits) - 1)
 
 
 def gaussian_binomial(top: int, bottom: int, step: int = 2,
                       cutoff: Optional[int] = None) -> LaurentSeries:
     """The q-binomial [top choose bottom] in base q_step.
 
-    Exact when ``cutoff`` is None; otherwise equal to the exact value
-    truncated at ``cutoff``, built from truncated factors only.
-    Zero whenever the pair is out of range (bottom < 0, top < 0 or
-    bottom > top), matching the extension used by all the summations here.
+    Exact when ``cutoff`` is None: the packed entry of ``_gaussian_base``,
+    unpacked.  Otherwise equal to the exact value truncated at
+    ``cutoff``: ``inv_poch_series``(k, step, cutoff), k = min(bottom,
+    top - bottom), carried through the numerator factors
+    1 - q_step^(top-k+i) that reach a kept term, in one
+    ``carry_one_minus`` call.  Zero whenever the pair is out of range
+    (bottom < 0, top < 0 or bottom > top), matching the extension used by
+    all the summations here.
     """
     _check_step(step)
     if bottom < 0 or top < 0 or bottom > top:
         return LaurentSeries.zero(cutoff)
+    k = min(bottom, top - bottom)
     if cutoff is None:
-        return _gaussian_base(top, min(bottom, top - bottom)) \
-            .scale_exponents(step)
-    return _gaussian_loop(LaurentSeries.one().truncate(cutoff), top, bottom,
-                          step)
+        x, w, _ = _gaussian_base(top, k)
+        return unpack_series(x, w, 0, step)
+    out = inv_poch_series(k, step, cutoff)
+    return carry_one_minus(out, 1, range((top - k + 1) * step,
+                                         min(top * step, _reach(out)) + 1,
+                                         step))
 
 
 def gaussian_peak(top: int, bottom: int) -> int:
     """The largest coefficient of [top, bottom], 0 <= bottom <= top, in any
-    base: its middle one, since the list is symmetric and unimodal."""
-    k = min(bottom, top - bottom)
-    return _gaussian_base(top, k).coeff_at(k * (top - k) // 2)
+    base: its middle one (``_gaussian_base``)."""
+    return _gaussian_base(top, min(bottom, top - bottom))[2]
 
 
 @lru_cache(maxsize=None)
@@ -196,11 +196,18 @@ def packed_gaussian(top: int, k: int, w: int, r: int) -> int:
     """[top, k], k <= top - k, as the packed integer sum c_i X^(r i),
     X = 2^(64 w), for [top, k] = sum c_i Q^i in its base Q: spread r-fold
     when it sits on a grid r times finer than its base (a base-q^3
-    binomial on the q grid takes r = 3), cached per (top, k, w, r).  It
-    is packed from ``_gaussian_base`` by ``pack_series``, so every
-    coefficient must be below X / 2 (``slot_words``); none is negative,
-    so its slots read as unsigned too."""
-    return pack_series(_gaussian_base(top, k).scale_exponents(r), w, 1)
+    binomial on the q grid takes r = 3), cached per (top, k, w, r).  The
+    caller takes w >= slot_words(peak).
+
+    The entry of ``_gaussian_base`` is narrowed to w where its walk took
+    wider slots (a signed ``repack``, every slot below X / 2), and then
+    spread by an unsigned repack into slots of r w words: one that holds
+    c reads as c and r - 1 empty slots of w words.  At the walk's own w
+    with r = 1 it is the entry itself."""
+    x, v, _ = _gaussian_base(top, k)
+    if v > w:
+        x, v = repack(x, v, w, signed=True), w
+    return repack(x, v, r * w)
 
 
 def _factor_bounds(factors):
@@ -248,14 +255,6 @@ def gaussian_sum(terms) -> LaurentSeries:
     times it sets the slots of 64 w bits of the sum, into which a
     narrower product is repacked.  Both are taken before anything is
     packed."""
-    terms = list(terms)
-    if terms and all(len(t) == 3 and len(t[2]) == 1 and t[2] == terms[0][2]
-                     for t in terms):
-        # every term is one and the same binomial: its cached series,
-        # shifted, is the sum, and nothing is packed
-        one = gaussian_binomial(*terms[0][2][0])
-        return LaurentSeries.sum((one if c == 1 else one.scale_coeffs(c))
-                                 .shift(e) for c, e, _ in terms)
     kept, bound, g, signed = [], 0, 0, False
     for c, e, factors, *inner in terms:
         outer = _factor_bounds(factors)

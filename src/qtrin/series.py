@@ -124,23 +124,6 @@ def _unpack(x: int, n: int, w: int, signs: int) -> list:
     return c
 
 
-def pack_series(s: "LaurentSeries", w: int, stride: int) -> int:
-    """The packed integer x = sum c_i X^i of the exact series
-    s = sum c_i q^(i * stride/2), whose exponents all lie on that grid
-    from 0 up, in two's-complement slots: each |c_i| must be below X / 2
-    (see slot_words).  The inverse of unpack_series(x, w, 0, stride,
-    signed=True); the zero series packs to 0.  It costs a call per
-    coefficient, so only series built as lists are packed with it (the
-    cached binomials of ``qblocks.packed_gaussian``); the packed walks
-    build their integers by shift-adds instead."""
-    if not s._c:
-        return 0
-    k, p = s._stride // stride or 1, s._lo // stride
-    n = p + k * (len(s._c) - 1) + 1
-    c = s._c if k == 1 and p == 0 else _spread(s._c, k, p, n)
-    return _pack(c, w, _sign_bits(w, n))
-
-
 def unpack_series(x: int, w: int, lo: int, stride: int = 1,
                   signed: bool = False) -> "LaurentSeries":
     """The exact series sum c_i q^((lo + i * stride)/2) of a packed integer
@@ -513,10 +496,6 @@ class LaurentSeries:
         lo, s = self._lo, self._stride
         return {lo + i * s: x for i, x in enumerate(self._c) if x}
 
-    @property
-    def is_exact(self) -> bool:
-        return self.cutoff is None
-
     def is_zero(self) -> bool:
         return not self._c
 
@@ -801,7 +780,7 @@ def exact_divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
     Ascending long division with a final zero-remainder check.  The raise
     doubles as a polynomiality assertion for multinomial-type summands.
     """
-    if not num.is_exact or not den.is_exact:
+    if num.cutoff is not None or den.cutoff is not None:
         raise ValueError("exact_divide needs exact operands")
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")

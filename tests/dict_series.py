@@ -7,7 +7,10 @@ per-factor loop that the truncated Pochhammer symbols ran before
 ``series.carry_one_minus`` carried them as one packed integer, and
 ``ratio3_walk`` and ``ratio4_fold`` are the series walks that the
 multinomial quotients of ``identities._ratio3`` and ``_ratio4`` took
-before ``series.walk_one_minus`` carried them packed.
+before ``series.walk_one_minus`` carried them packed, and
+``gaussian_loop`` is the series loop that built the Gaussian binomials
+before they were walked packed.  ``pack_series`` packs a series into the
+integer that the packed kernels take.
 """
 
 from __future__ import annotations
@@ -217,3 +220,36 @@ def ratio4_fold(M: int, *exps):
     one term for each exponent e in exps (half-units)."""
     return LaurentSeries.sum(r.shift(e(m, n)) for (m, n), r in
                              ratio4_columns(M) for e in exps)
+
+
+def gaussian_loop(out, top: int, bottom: int, step: int):
+    """out * [top, bottom] in base q_step, 0 <= bottom <= top, one factor
+    (1 - q_step^(top-k+i)) / (1 - q_step^i) at a time, k = min(bottom,
+    top - bottom): after factor i the product holds [top-k+i, i], and an
+    exact out is divided with its remainder checked.  A truncated out
+    gives the exact product truncated at its cutoff."""
+    k = min(bottom, top - bottom)
+    for i in range(1, k + 1):
+        out = out.mul_one_minus(1, (top - k + i) * step) \
+            .div_one_minus(1, i * step)
+    return out
+
+
+def pack_series(s: LaurentSeries, w: int, stride: int) -> int:
+    """The packed integer x = sum c_i X^i, X = 2^(64 w), of the exact
+    series s = sum c_i q^(i * stride/2), whose exponents all lie on that
+    grid from 0 up, in two's-complement slots: each |c_i| must be below
+    X / 2.  Each slot is written as its word, c_i mod X, and each
+    negative one then takes X from the slot above."""
+    terms = s.terms
+    if not terms:
+        return 0
+    c = [0] * (max(terms) // stride + 1)
+    for e, v in terms.items():
+        assert e >= 0 and e % stride == 0
+        c[e // stride] = v
+    words = b"".join((v % (1 << 64 * w)).to_bytes(8 * w, "little")
+                     for v in c)
+    borrows = b"".join(bytes([v < 0]) + bytes(8 * w - 1) for v in c)
+    return int.from_bytes(words, "little") \
+        - (int.from_bytes(borrows, "little") << 64 * w)

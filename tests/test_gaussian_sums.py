@@ -127,23 +127,16 @@ def widths(monkeypatch):
 
 
 def _width(widths, build):
-    """The slot words of the one packed sum that build makes, or None if
-    it packs none, and what it built."""
+    """The slot words of the one packed sum that build makes, and what it
+    built."""
     widths.clear()
     out = build()
-    assert len(widths) <= 1
-    return (widths[0] if widths else None), out
-
-
-def _one_binomial(id, side):
-    # the Bailey RHS of a t-sum is one binomial, [2L + (kind = -1), L - a],
-    # at one or two shifts: its cached series, with nothing packed
-    return id.endswith("_sum") and side == "RHS"
+    assert len(widths) == 1
+    return widths[0], out
 
 
 # (id, side, parameters of the edge, the same one size down, the size
-# parameter): the smallest sizes whose sum takes two-word slots; the
-# t-sum RHS, packed alike before, now pack nothing at these sizes
+# parameter): the smallest sizes whose sum takes two-word slots
 EDGES = [
     ("t0_sum", "LHS", {"L": 35, "a": -3}, "L"),
     ("t1_sum", "LHS", {"L": 35, "a": 0}, "L"),
@@ -174,12 +167,11 @@ class TestWidthEdges:
     def test_first_two_word_sum(self, widths, id, side, p, size):
         clear_caches()
         below = {**p, size: p[size] - 1}
-        one = _one_binomial(id, side)
         assert _width(widths, lambda: compute_side(
-            IdentityInstance(id, below), side))[0] == (None if one else 1)
+            IdentityInstance(id, below), side))[0] == 1
         w, got = _width(widths, lambda: compute_side(
             IdentityInstance(id, p), side))
-        assert w == (None if one else 2)
+        assert w == 2
         assert got == _reference(id, side, p)
 
     @pytest.mark.parametrize("side, reference", [
@@ -210,15 +202,15 @@ class TestWidthEdges:
     @pytest.mark.parametrize("kind", [0, 1, -1])
     @pytest.mark.parametrize("a", [-3, 0, 5])
     def test_t_sums_past_the_row_edge(self, widths, kind, a):
-        # rows 40 and 41 take two-word slots, and the LHS sum does too:
-        # the one-word entries of rows below 40 are repacked into it
+        # rows 40 and 41 take two-word slots, and the sum does too: the
+        # one-word entries of rows below 40 are repacked into it
         id = {0: "t0_sum", 1: "t1_sum", -1: "tm1_sum"}[kind]
         clear_caches()
         p = {"L": 41, "a": a}
         for side in ("LHS", "RHS"):
             w, got = _width(widths, lambda: compute_side(
                 IdentityInstance(id, p), side))
-            assert w == (None if _one_binomial(id, side) else 2)
+            assert w == 2
             assert got == _reference(id, side, p)
 
 
@@ -266,28 +258,15 @@ class TestSlotBound:
     def test_matches_series_products(self, terms):
         assert gaussian_sum(terms) == product_sum(terms)
 
-    # each with a constant term, so that no sum is one binomial alone
     @pytest.mark.parametrize("terms, w", [
-        ([(1, 0, [(80, 40, 2)]), (1, 1, [])], 2),
+        ([(1, 0, [(80, 40, 2)])], 2),
         ([(1, 0, [(80, 40, 2), (80, 40, 6)])], 3),
-        ([(1, 2 * j, [(70, 35, 2)]) for j in range(17)] + [(1, 1, [])], 1),
-        ([(1, 2 * j, [(70, 35, 2)]) for j in range(18)] + [(1, 1, [])], 2),
+        ([(1, 2 * j, [(70, 35, 2)]) for j in range(17)], 1),
+        ([(1, 2 * j, [(70, 35, 2)]) for j in range(18)], 2),
     ])
     def test_widths_of_the_pinned_examples(self, widths, terms, w):
         w_got, got = _width(widths, lambda: gaussian_sum(terms))
         assert w_got == w
-        assert got == product_sum(terms)
-
-    @pytest.mark.parametrize("terms", [
-        [(1, 0, [(80, 40, 2)])],
-        [(1, 2 * j, [(70, 35, 2)]) for j in range(18)],
-        [(-3, 5, [(20, 7, 6)]), (2, 0, [(20, 7, 6)]), (0, 9, [(20, 7, 6)])],
-        [(1, 0, [(3, 5, 2)]), (4, 1, [(3, 5, 2)])],
-    ])
-    def test_one_binomial_packs_nothing(self, widths, terms):
-        # terms that all multiply one binomial: its cached series shifted
-        w, got = _width(widths, lambda: gaussian_sum(terms))
-        assert w is None
         assert got == product_sum(terms)
 
     def test_inner_sum_checks(self):

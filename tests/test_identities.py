@@ -21,12 +21,12 @@ from qtrin.identities import (REGISTRY, IdentityDef, IdentityInstance,
 from qtrin.qblocks import (MonomialArg, gaussian_binomial, poch_finite,
                            q_poch)
 from qtrin.series import (LaurentSeries, TrivariateSeries, exact_divide,
-                          pack_series, slot_words, unpack_series,
-                          walk_one_minus)
+                          slot_words, unpack_series, walk_one_minus)
 from qtrin.trinomials import (TParams, TrinomialParams, round_trinomial,
                               t_trinomial)
 
-from dict_series import ratio3_walk, ratio4_columns, ratio4_fold
+from dict_series import (pack_series, ratio3_walk, ratio4_columns,
+                         ratio4_fold)
 
 
 def q(k):
@@ -88,7 +88,7 @@ class TestComputeSide:
     def test_exact_sides_have_no_cutoff(self):
         side = compute_side(IdentityInstance("t0_sum", {"L": 3, "a": 1}),
                             "RHS")
-        assert side.is_exact
+        assert side.cutoff is None
 
 
 # D(L), in half-units, with X_dual(L) = q^(D/2) X(L)(1/q) on both sides.

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtrin import qblocks
-from qtrin.series import LaurentSeries
+from qtrin.identities import clear_caches
+from qtrin.series import LaurentSeries, slot_words
 from qtrin.qblocks import (MonomialArg, Q, ZERO_ARG, gaussian_binomial,
-                           inv_poch_infinite, inv_poch_series, poch_finite,
-                           poch_infinite, q_poch)
+                           gaussian_peak, inv_poch_infinite, inv_poch_series,
+                           packed_gaussian, poch_finite, poch_infinite, q_poch)
+
+from dict_series import gaussian_loop, pack_series
 
 
 def q(k):
@@ -182,14 +185,11 @@ class TestInvPochSeries:
         monkeypatch.setattr(qblocks, "carry_one_minus", counted)
         assert inv_poch_series(10_000, 2, 20) == want
         assert 0 < len(calls) <= 11
-        # [N, K] = 1/(q;q)_10 + O(q^11) once K and N - K pass 10
+        # [N, K] = 1/(q;q)_10 + O(q^11) once K and N - K pass 10, and no
+        # numerator factor 1 - q^(N-K+i) reaches a kept term
         calls.clear()
-        kernel = LaurentSeries.div_one_minus
-        monkeypatch.setattr(LaurentSeries, "div_one_minus",
-                            lambda s, sign, exp: calls.append(exp)
-                            or kernel(s, sign, exp))
         assert gaussian_binomial(10_000, 5_000, 2, 20) == want
-        assert len(calls) <= 11
+        assert 0 < len(calls) <= 11
 
     def test_truncated_stops_at_cutoff(self):
         assert inv_poch_series(50, 2, q(3)) == inv_poch_series(3, 2, q(3))
@@ -243,6 +243,80 @@ class TestGaussianBinomial:
         want = gaussian_binomial(n - 1, k - 1) + \
             gaussian_binomial(n - 1, k).shift(q(k))
         assert gaussian_binomial(n, k) == want
+
+
+def _loop(top, k, step):
+    """[top, k] in base q_step, built by the series loop."""
+    return gaussian_loop(LaurentSeries.one(), top, k, step)
+
+
+@pytest.fixture
+def empty_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+@pytest.mark.usefixtures("empty_caches")
+class TestPackedGaussian:
+    """The packed entries of ``_gaussian_base``, each one checked walk,
+    against the series loop packed by ``pack_series``."""
+
+    def _check(self, top, k, ws):
+        base_q, base_q3 = _loop(top, k, 2), _loop(top, k, 6)
+        x, w, peak = qblocks._gaussian_base(top, k)
+        assert x == pack_series(base_q, w, 2)
+        assert peak == base_q.coeff_at(2 * (k * (top - k) // 2)) \
+            == base_q.max_abs_coeff()
+        assert gaussian_peak(top, k) == gaussian_peak(top, top - k) == peak
+        for bottom in {k, top - k}:
+            assert gaussian_binomial(top, bottom) == base_q
+            assert gaussian_binomial(top, bottom, 6) == base_q3
+        for v in ws:
+            # a base-q^3 binomial spread 3-fold on the q grid
+            assert packed_gaussian(top, k, v, 1) == pack_series(base_q, v, 2)
+            assert packed_gaussian(top, k, v, 3) == pack_series(base_q3, v, 2)
+        return w, peak
+
+    def test_every_entry_through_60(self):
+        for top in range(61):
+            for k in range(top // 2 + 1):
+                self._check(top, k, (1, 2, 3))
+
+    @pytest.mark.parametrize("top, words", [
+        (74, 1), (75, 2), (140, 2), (141, 3), (200, 3)])
+    def test_width_edges(self, top, words):
+        # the middle coefficient passes 2^63 at [75, 37] and 2^127 at
+        # [141, 70]
+        w, peak = self._check(top, top // 2, (words, words + 1))
+        assert slot_words(peak) == words
+        assert w >= words
+
+    def test_walk_wider_than_the_slots(self):
+        # the walk of [74, 33] ends in two-word slots, and its entry is
+        # narrowed to the one word its peak needs
+        w, peak = self._check(74, 33, (1, 2))
+        assert (w, slot_words(peak)) == (2, 1)
+
+    @pytest.mark.parametrize("top, k, i", [(12, 4, 4), (12, 4, 1),
+                                           (80, 40, 40)])
+    def test_changed_numerator_raises(self, monkeypatch, top, k, i):
+        # step i multiplies by 1 - X^(top - k + i + 1) instead: 1 - X^i,
+        # or a later divisor, then leaves a remainder
+        walk = qblocks.walk_one_minus
+
+        def changed(x, w, b, steps):
+            return walk(x, w, b, ((m + (d == i), d) for m, d in steps))
+        monkeypatch.setattr(qblocks, "walk_one_minus", changed)
+        for build in (lambda: gaussian_binomial(top, k),
+                      lambda: gaussian_peak(top, k),
+                      lambda: packed_gaussian(top, k, 2, 1)):
+            with pytest.raises(ValueError, match="remainder"):
+                build()
+        assert qblocks._gaussian_base.cache_info().currsize == 0
+        assert packed_gaussian.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert gaussian_binomial(top, k) == _loop(top, k, 2)
 
 
 class TestPochReversal:

@@ -5,11 +5,11 @@ from hypothesis import example, given, strategies as st
 
 from qtrin import identities, series
 from qtrin.series import (LaurentSeries, TrivariateSeries, carry_one_minus,
-                          exact_divide, pack_series, packed_div_one_minus,
+                          exact_divide, packed_div_one_minus,
                           packed_mul_one_minus, packed_sum, repack,
                           slot_words, unpack_series, walk_one_minus)
 
-from dict_series import DictSeries, one_minus_run
+from dict_series import DictSeries, one_minus_run, pack_series
 
 
 def S(terms, cutoff=None):
